@@ -120,105 +120,149 @@ fn main() -> ExitCode {
         oasis_telemetry::enable();
     }
 
-    if let Some(spec) = args.campaign.clone() {
-        return run_campaign_mode(&args, spec);
+    let failures = match args.campaign.clone() {
+        Some(spec) => run_campaign_mode(&args, spec),
+        None => run_sweep(&args),
+    } + finish_trace(&args);
+    if failures > 0 {
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
+}
 
-    let cells = args.attacks.len()
-        * args.defenses.len()
-        * args.workloads.len()
-        * args.codecs.len()
-        * args.nets.len()
-        * args.populations.len()
-        * args.samples.len()
-        * args.batches.len();
+/// One point of the sweep grid.
+struct Cell<'a> {
+    workload: WorkloadSpec,
+    attack: &'a AttackSpec,
+    defense: &'a DefenseSpec,
+    codec: CodecSpec,
+    net: NetSpec,
+    population: usize,
+    sample: usize,
+    batch: usize,
+}
+
+impl std::fmt::Display for Cell<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "attack={} defense={} workload={} codec={} net={} population={} sample={} batch={}",
+            self.attack,
+            self.defense,
+            self.workload,
+            self.codec,
+            self.net,
+            self.population,
+            self.sample,
+            self.batch
+        )
+    }
+}
+
+impl Args {
+    /// The sweep grid as one cartesian product, in run order:
+    /// workload outermost, then attack, defense, codec, net,
+    /// population, sample, and batch innermost.
+    fn cells(&self) -> impl Iterator<Item = Cell<'_>> {
+        let dims = [
+            self.workloads.len(),
+            self.attacks.len(),
+            self.defenses.len(),
+            self.codecs.len(),
+            self.nets.len(),
+            self.populations.len(),
+            self.samples.len(),
+            self.batches.len(),
+        ];
+        (0..dims.iter().product()).map(move |flat: usize| {
+            // Mixed-radix digits of `flat`, the last axis fastest.
+            let mut at = [0usize; 8];
+            let mut rest = flat;
+            for (digit, &len) in at.iter_mut().zip(&dims).rev() {
+                *digit = rest % len;
+                rest /= len;
+            }
+            Cell {
+                workload: self.workloads[at[0]],
+                attack: &self.attacks[at[1]],
+                defense: &self.defenses[at[2]],
+                codec: self.codecs[at[3]],
+                net: self.nets[at[4]],
+                population: self.populations[at[5]],
+                sample: self.samples[at[6]],
+                batch: self.batches[at[7]],
+            }
+        })
+    }
+}
+
+/// The sweep mode: every cell of the grid, each printing its report
+/// and (unless `--no-save`) writing it under `out/`. Returns how many
+/// cells failed.
+fn run_sweep(args: &Args) -> u32 {
+    let cells = args.cells().count();
     if cells > 1 {
         println!("sweep: {cells} scenarios");
     }
     let mut failures = 0u32;
-    for &workload in &args.workloads {
-        for attack in &args.attacks {
-            for defense in &args.defenses {
-                for &codec in &args.codecs {
-                    for &net in &args.nets {
-                        for &population in &args.populations {
-                            for &sample in &args.samples {
-                                for &batch in &args.batches {
-                                    match run_cell(
-                                        &args,
-                                        workload,
-                                        attack.clone(),
-                                        defense.clone(),
-                                        codec,
-                                        net,
-                                        population,
-                                        sample,
-                                        batch,
-                                    ) {
-                                        Ok(report) => {
-                                            println!("{report}");
-                                            if args.save {
-                                                match report.save() {
-                                                    Ok(path) => {
-                                                        println!("  report -> {}", path.display());
-                                                    }
-                                                    Err(e) => {
-                                                        eprintln!(
-                                                            "error: saving report failed: {e}"
-                                                        );
-                                                        failures += 1;
-                                                    }
-                                                }
-                                            }
-                                            println!();
-                                        }
-                                        Err(e) => {
-                                            eprintln!(
-                                                "error: scenario attack={attack} \
-                                                 defense={defense} workload={workload} \
-                                                 codec={codec} net={net} \
-                                                 population={population} sample={sample} \
-                                                 batch={batch} failed: {e}"
-                                            );
-                                            failures += 1;
-                                        }
-                                    }
-                                }
-                            }
+    for cell in args.cells() {
+        match run_cell(args, &cell) {
+            Ok(report) => {
+                println!("{report}");
+                if args.save {
+                    match report.save() {
+                        Ok(path) => println!("  report -> {}", path.display()),
+                        Err(e) => {
+                            eprintln!("error: saving report failed: {e}");
+                            failures += 1;
                         }
                     }
                 }
-            }
-        }
-    }
-    if let Some(path) = &args.trace {
-        let spans = oasis_telemetry::take_spans();
-        let metrics = oasis_telemetry::metrics_snapshot();
-        match oasis_telemetry::write_trace(path, &spans, &metrics) {
-            Ok(()) => {
-                println!("trace -> {} ({} spans)", path.display(), spans.len());
-                print!(
-                    "{}",
-                    oasis_telemetry::self_time_table(&oasis_telemetry::summarize(&spans))
-                );
+                println!();
             }
             Err(e) => {
-                eprintln!("error: writing trace {} failed: {e}", path.display());
+                eprintln!("error: scenario {cell} failed: {e}");
                 failures += 1;
             }
         }
     }
     if failures > 0 {
         eprintln!("{failures} scenario(s) failed");
-        return ExitCode::FAILURE;
     }
-    ExitCode::SUCCESS
+    failures
+}
+
+/// Writes the `--trace` file, if one was asked for, and prints its
+/// self-time summary. Both modes end here whether or not their runs
+/// failed, so a failing run still leaves its trace. Returns 1 when
+/// the trace could not be written, else 0.
+fn finish_trace(args: &Args) -> u32 {
+    let Some(path) = &args.trace else {
+        return 0;
+    };
+    let spans = oasis_telemetry::take_spans();
+    let metrics = oasis_telemetry::metrics_snapshot();
+    match oasis_telemetry::write_trace(path, &spans, &metrics) {
+        Ok(()) => {
+            println!("trace -> {} ({} spans)", path.display(), spans.len());
+            print!(
+                "{}",
+                oasis_telemetry::self_time_table(&oasis_telemetry::summarize(&spans))
+            );
+            0
+        }
+        Err(e) => {
+            eprintln!("error: writing trace {} failed: {e}", path.display());
+            1
+        }
+    }
 }
 
 /// The `--campaign` mode: one campaign per `--defense` over the
 /// first `--workload`, each printing a per-phase summary and writing
-/// its trajectory JSONL under `out/`.
-fn run_campaign_mode(args: &Args, spec: CampaignSpec) -> ExitCode {
+/// its trajectory JSONL under `out/`. Returns how many campaigns
+/// failed.
+fn run_campaign_mode(args: &Args, spec: CampaignSpec) -> u32 {
     let workload = args.workloads[0];
     let clients = match args.populations.first() {
         Some(&n) if n > 0 => n,
@@ -263,9 +307,8 @@ fn run_campaign_mode(args: &Args, spec: CampaignSpec) -> ExitCode {
     }
     if failures > 0 {
         eprintln!("{failures} campaign(s) failed");
-        return ExitCode::FAILURE;
     }
-    ExitCode::SUCCESS
+    failures
 }
 
 /// Per-phase aggregates of a finished campaign: delivery, churn,
@@ -319,27 +362,16 @@ fn print_campaign_summary(runner: &oasis_bench::CampaignRunner) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_cell(
-    args: &Args,
-    workload: WorkloadSpec,
-    attack: AttackSpec,
-    defense: DefenseSpec,
-    codec: CodecSpec,
-    net: NetSpec,
-    population: usize,
-    sample: usize,
-    batch: usize,
-) -> Result<ScenarioReport, ScenarioError> {
+fn run_cell(args: &Args, cell: &Cell<'_>) -> Result<ScenarioReport, ScenarioError> {
     let mut builder = Scenario::builder()
-        .workload(workload)
-        .attack(attack)
-        .defense(defense)
-        .codec(codec)
-        .net(net)
-        .population(population)
-        .sample(sample)
-        .batch_size(batch)
+        .workload(cell.workload)
+        .attack(cell.attack.clone())
+        .defense(cell.defense.clone())
+        .codec(cell.codec)
+        .net(cell.net)
+        .population(cell.population)
+        .sample(cell.sample)
+        .batch_size(cell.batch)
         .scale(args.scale)
         .seed(args.seed);
     if let Some(trials) = args.trials {
@@ -453,18 +485,20 @@ where
 ///
 /// Some specs contain commas themselves (`cah:N,G`, `dp:C,S`), so
 /// list items are matched greedily: each item consumes as many
-/// comma-separated segments as still parse as one spec.
+/// comma-separated segments as still parse as one spec. An item that
+/// does not parse runs up to the next segment that starts one that
+/// does, and the error names that whole item (`dp:1,-1`, not `dp:1`).
 fn parse_list<T>(value: &str, what: &str) -> Result<Vec<T>, String>
 where
     T: std::str::FromStr,
     T::Err: std::fmt::Display,
 {
     let segments: Vec<&str> = value.split(',').filter(|s| !s.is_empty()).collect();
-    let mut items = Vec::new();
-    let mut i = 0;
-    while i < segments.len() {
+    // The longest item starting at segment `i`: its last segment and
+    // the parsed spec.
+    let longest_from = |i: usize| -> Option<(usize, T)> {
         let mut candidate = String::new();
-        let mut matched: Option<(usize, T)> = None;
+        let mut matched = None;
         for (j, segment) in segments.iter().enumerate().skip(i) {
             if j > i {
                 candidate.push(',');
@@ -474,21 +508,79 @@ where
                 matched = Some((j, item));
             }
         }
-        match matched {
-            Some((j, item)) => {
-                items.push(item);
-                i = j + 1;
-            }
-            // Nothing starting at segment `i` parses; surface the
-            // single-segment error for context.
-            None => match parse_one::<T>(segments[i], what) {
-                Err(msg) => return Err(msg),
-                Ok(_) => unreachable!("greedy match missed a parseable segment"),
-            },
-        }
+        matched
+    };
+    let mut items = Vec::new();
+    let mut i = 0;
+    while i < segments.len() {
+        let Some((j, item)) = longest_from(i) else {
+            let end = (i + 1..segments.len())
+                .find(|&k| longest_from(k).is_some())
+                .unwrap_or(segments.len());
+            return parse_one::<T>(&segments[i..end].join(","), what)
+                .map(|_| unreachable!("an item that parses would have matched greedily"));
+        };
+        items.push(item);
+        i = j + 1;
     }
     if items.is_empty() {
         return Err(format!("empty {what} list"));
     }
     Ok(items)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(flags: &str) -> Args {
+        let raw: Vec<String> = flags.split_whitespace().map(String::from).collect();
+        parse_args(&raw).expect("flags parse")
+    }
+
+    #[test]
+    fn list_errors_name_the_whole_failing_item() {
+        for (flag, value, item) in [
+            ("--defense", "dp:1,-1", "dp:1,-1"),
+            ("--defense", "none,dp:1,-1,oasis:MR", "dp:1,-1"),
+            ("--net", "sim:10,16,NaN,5", "sim:10,16,NaN,5"),
+            ("--net", "ideal,sim:10,16,NaN,5", "sim:10,16,NaN,5"),
+            ("--batch", "8,x,16", "x"),
+            ("--attack", "rtf:64,cah:0", "cah:0"),
+        ] {
+            let raw = [flag.to_string(), value.to_string()];
+            let err = match parse_args(&raw) {
+                Ok(_) => panic!("{flag} {value} should not parse"),
+                Err(e) => e,
+            };
+            assert!(err.contains(&format!("`{item}`")), "{flag} {value}: {err}");
+        }
+    }
+
+    #[test]
+    fn comma_specs_and_lists_still_parse() {
+        let a = args("--defense none,dp:1,0.5,oasis:MR --attack cah:16,0.2,rtf:8 --batch 4,8");
+        assert_eq!(a.defenses.len(), 3);
+        assert_eq!(a.attacks.len(), 2);
+        assert_eq!(a.batches, vec![4, 8]);
+    }
+
+    #[test]
+    fn cells_run_workload_outermost_and_batch_innermost() {
+        let a = args("--workload imagenette,cifar100 --attack rtf:8,rtf:16 --batch 2,4,8");
+        let cells: Vec<String> = a
+            .cells()
+            .map(|c| format!("{}|{}|{}", c.workload, c.attack, c.batch))
+            .collect();
+        let mut nested = Vec::new();
+        for w in &a.workloads {
+            for at in &a.attacks {
+                for b in &a.batches {
+                    nested.push(format!("{w}|{at}|{b}"));
+                }
+            }
+        }
+        assert_eq!(cells, nested);
+        assert_eq!(cells.len(), 12);
+    }
 }

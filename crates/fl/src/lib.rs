@@ -21,13 +21,21 @@
 //!   [`UpdateStage`]s perturb the flattened update *before* it is
 //!   uploaded (how DP-SGD clips and noises).
 //!
-//! Updates travel over a real wire: each round every selected client
-//! encodes its update with the server's [`WireConfig`] codec
-//! (`oasis_wire`), a deterministic simulated transport delivers,
-//! delays, or drops it, and the server aggregates **only what
-//! arrived**, weighted by the examples each client contributed. The
-//! default wire (raw codec, ideal network) reproduces the in-process
-//! protocol bit-exactly.
+//! Updates travel over a real wire: each client's update is encoded
+//! with the server's [`WireConfig`] codec (`oasis_wire`), a
+//! deterministic simulated transport delivers, delays, or drops it,
+//! and the server aggregates **only what arrived**, weighted by the
+//! examples each client contributed. The default wire (raw codec,
+//! ideal network) reproduces the in-process protocol bit-exactly.
+//!
+//! There is one round engine, [`FlServer::run_cohort_round`]. It runs
+//! over a [`ClientSource`] — a resident `[FlClient]` slice here, or a
+//! descriptor population in `oasis-population` — and samples each
+//! cohort with the [`CohortScheduler`]. The wire plan is made before
+//! any compute, so clients the wire drops never train, and every
+//! delivered update folds through the one FedAvg fold,
+//! [`StreamingAggregator`], in delivery order. [`FlServer::run_round`]
+//! is the resident-slice caller.
 //!
 //! ```
 //! use oasis_fl::{DefenseStack, FlConfig, FlServer, partition_iid};
@@ -62,21 +70,22 @@ mod client;
 mod config;
 mod defense;
 mod error;
+mod round;
+mod scheduler;
 mod server;
 mod tamper;
 mod timings;
 mod training;
 
-pub use aggregate::{fedavg, fedavg_weighted};
+pub use aggregate::StreamingAggregator;
 pub use client::{ClientUpdate, FlClient, ModelFactory};
 pub use config::FlConfig;
 pub use defense::{
     BatchStage, ClipStage, Defense, DefenseStack, DpStage, IdentityPreprocessor, UpdateStage,
 };
-// The legacy name of [`BatchStage`], kept so downstream code written
-// against the pre-stack API keeps compiling.
-pub use defense::BatchStage as BatchPreprocessor;
 pub use error::FlError;
+pub use round::{ClientSource, CohortReport};
+pub use scheduler::CohortScheduler;
 pub use server::{FlServer, RoundReport, WireConfig};
 pub use tamper::{HonestServer, ModelTamper};
 pub use timings::RoundTimings;

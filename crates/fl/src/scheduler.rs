@@ -4,21 +4,21 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-/// Samples the K participants of each round from a population of N,
-/// reproducing the legacy server's selection exactly.
+/// Samples the K participants of each round from N clients — the
+/// round engine's single selection shuffle, for every
+/// [`ClientSource`](crate::ClientSource).
 ///
-/// The legacy [`FlServer::run_round`](oasis_fl::FlServer::run_round)
-/// shuffles a freshly collected client slice and takes a prefix; the
-/// vendored Fisher–Yates consumes rng draws that depend only on the
-/// slice **length**, so shuffling an identity index buffer of the
-/// same length consumes the identical draw sequence and yields the
-/// identical permutation — that is what makes the population path
-/// bit-exact with the resident path at matched scale.
+/// Selection shuffles an identity index buffer of length N and takes
+/// a prefix. The vendored Fisher–Yates consumes rng draws that depend
+/// only on the buffer **length**, so this is draw-for-draw the
+/// shuffle of any N-element slice, and a resident client slice and a
+/// descriptor population of the same size select the same positions
+/// from the same rng.
 ///
 /// The index buffer is owned and reused across rounds (`O(N)` once,
 /// not per round) and reset to identity before every shuffle: a
 /// shuffle of an already-shuffled buffer would compose permutations
-/// and diverge from the legacy draw-for-draw equivalence.
+/// and make a round's cohort depend on earlier rounds.
 #[derive(Debug)]
 pub struct CohortScheduler {
     population: usize,
@@ -41,8 +41,7 @@ impl CohortScheduler {
 
     /// Resolves a configured cohort size against the population:
     /// `0` means everyone, anything else is capped at the population
-    /// — the exact rule [`oasis_fl::FlConfig::clients_per_round`]
-    /// uses.
+    /// — the rule of [`crate::FlConfig::clients_per_round`].
     pub fn cohort_size(&self, clients_per_round: usize) -> usize {
         if clients_per_round == 0 {
             self.population
@@ -52,10 +51,10 @@ impl CohortScheduler {
     }
 
     /// Draws one round's cohort: shuffles the identity index buffer
-    /// with `rng`, then draws the round seed — the same rng discipline
-    /// (shuffle first, seed second) as the legacy server. Returns the
-    /// selected ids in selection order plus the `round_seed` that
-    /// keys every client's local rng and the wire transport.
+    /// with `rng`, then draws the round seed (shuffle first, seed
+    /// second). Returns the selected positions in selection order plus
+    /// the `round_seed` that keys every client's local rng and the
+    /// wire transport.
     pub fn sample(&mut self, cohort: usize, rng: &mut StdRng) -> (&[u32], u64) {
         self.indices.clear();
         self.indices.extend(0..self.population as u32);
@@ -79,21 +78,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sample_matches_legacy_slice_shuffle() {
+    fn sample_matches_a_slice_shuffle() {
         // Shuffling any same-length slice consumes identical draws:
-        // emulate the legacy path on a Vec of values and compare.
+        // shuffle a Vec of values directly and compare.
         let n = 37usize;
-        let mut legacy: Vec<usize> = (0..n).collect();
+        let mut slice: Vec<usize> = (0..n).collect();
         let mut rng_a = StdRng::seed_from_u64(77);
-        legacy.shuffle(&mut rng_a);
-        let legacy_seed: u64 = rng_a.gen();
+        slice.shuffle(&mut rng_a);
+        let slice_seed: u64 = rng_a.gen();
 
         let mut sched = CohortScheduler::new(n);
         let mut rng_b = StdRng::seed_from_u64(77);
         let (ids, seed) = sched.sample(n, &mut rng_b);
-        assert_eq!(seed, legacy_seed);
+        assert_eq!(seed, slice_seed);
         let got: Vec<usize> = ids.iter().map(|&i| i as usize).collect();
-        assert_eq!(got, legacy);
+        assert_eq!(got, slice);
     }
 
     #[test]

@@ -1,42 +1,33 @@
 //! Per-round wall-clock phase breakdowns.
 
 /// Wall-clock breakdown of one round across the protocol phases, in
-/// nanoseconds. Produced by [`crate::FlServer::run_round`] (and the
-/// population cohort runner) **only while telemetry is enabled** —
-/// `report.timings` is `None` on untraced runs, so the report itself
-/// stays bit-identical whether tracing is on or off.
+/// nanoseconds. Produced by the round engine
+/// ([`crate::FlServer::run_cohort_round`], behind both
+/// [`crate::FlServer::run_round`] and the population cohort runner)
+/// **only while telemetry is enabled** — `report.timings` is `None`
+/// on untraced runs, so the report itself stays bit-identical whether
+/// tracing is on or off.
 ///
-/// Phases that a given round shape fuses report 0 here and show up
-/// inside the enclosing phase instead:
-///
-/// * the legacy resident-client round fuses per-client `encode` into
-///   `compute` (both run inside the same parallel task) and has no
-///   `hydrate`;
-/// * the population cohort round fuses `hydrate`/`compute`/`encode`
-///   into its `compute` waves and `decode` into `fold` (the streaming
-///   aggregator decodes each frame as it folds it).
-///
-/// The span trace (see `oasis-telemetry`) still attributes the fused
-/// work: `wire.encode.*` / `wire.decode.*` spans are recorded by the
-/// codecs themselves wherever they run.
+/// Each phase has one meaning for every client source. Encoding runs
+/// inside `compute` and decoding inside `fold`; the span trace (see
+/// `oasis-telemetry`) still attributes them separately, through the
+/// `wire.encode.*` / `wire.decode.*` spans the codecs record.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundTimings {
-    /// Cohort selection / scheduler sampling.
+    /// Cohort selection by the scheduler.
     pub select_ns: u64,
     /// Tamper hook + global weight flattening.
     pub broadcast_ns: u64,
-    /// Hydrating client state from descriptors (population path; 0 on
-    /// the legacy resident-client path).
-    pub hydrate_ns: u64,
-    /// Parallel local training across the cohort.
-    pub compute_ns: u64,
-    /// Update encoding, when not fused into `compute`.
-    pub encode_ns: u64,
-    /// Simulated transport: submissions, delivery plan, drops.
+    /// The delivery plan: submissions, fates, drops.
     pub deliver_ns: u64,
-    /// Wire-frame decoding, when not fused into `fold`.
-    pub decode_ns: u64,
-    /// Sample-weighted folding of delivered updates.
+    /// The pre-pass over delivered clients that sums their sample
+    /// counts for the FedAvg weights (hydrating descriptor clients).
+    pub hydrate_ns: u64,
+    /// The delivered clients' waves: hydrate + local training +
+    /// update encoding.
+    pub compute_ns: u64,
+    /// Decoding each delivered frame and accumulating it into the
+    /// sample-weighted sum.
     pub fold_ns: u64,
     /// The server SGD step.
     pub step_ns: u64,
@@ -46,15 +37,13 @@ pub struct RoundTimings {
 
 impl RoundTimings {
     /// The named phases in execution order, `(name, ns)`.
-    pub fn phases(&self) -> [(&'static str, u64); 9] {
+    pub fn phases(&self) -> [(&'static str, u64); 7] {
         [
             ("select", self.select_ns),
             ("broadcast", self.broadcast_ns),
+            ("deliver", self.deliver_ns),
             ("hydrate", self.hydrate_ns),
             ("compute", self.compute_ns),
-            ("encode", self.encode_ns),
-            ("deliver", self.deliver_ns),
-            ("decode", self.decode_ns),
             ("fold", self.fold_ns),
             ("step", self.step_ns),
         ]

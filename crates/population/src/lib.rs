@@ -4,27 +4,26 @@
 //! OASIS evaluation run cohorts sampled from 10⁵–10⁶ clients without
 //! holding 10⁵–10⁶ [`FlClient`](oasis_fl::FlClient)s resident.
 //!
-//! Three pieces compose into a round:
+//! [`Population`] is the deployment as data: a shared, shuffled
+//! sample pool plus one 12-byte [`ClientDescriptor`] per client. It
+//! is the second [`ClientSource`](oasis_fl::ClientSource) of the one
+//! round engine in `oasis-fl` (the first is a resident `FlClient`
+//! slice): a descriptor is **hydrated** into a full `FlClient` (shard,
+//! defense stack) only while its update is being computed, then
+//! dropped.
 //!
-//! * [`Population`] — the deployment as data: a shared, shuffled
-//!   sample pool plus one 12-byte [`ClientDescriptor`] per client.
-//!   A descriptor is **hydrated** into a full `FlClient` (shard,
-//!   defense stack) only while its update is being computed, then
-//!   dropped.
-//! * [`CohortScheduler`] — seeded deterministic sampling of the K
-//!   participants of each round. The per-round rng stream is keyed by
-//!   `(seed, round)`, so any round is reproducible in isolation and
-//!   at any thread count.
-//! * [`StreamingAggregator`] — folds each delivered update into a
-//!   running `O(model)` accumulator as frames come off the wire, so
-//!   server memory is `O(model + cohort_scratch)` regardless of
-//!   population.
-//!
-//! [`CohortRunner`] ties them together and drives an
-//! [`FlServer`](oasis_fl::FlServer) through rounds that are
-//! **bit-exact** with the legacy resident-client path at matched
-//! scale: same selection shuffle, same per-client rng streams, same
-//! wire, same fold order, same SGD step.
+//! [`CohortRunner`] couples a population to an
+//! [`FlServer`](oasis_fl::FlServer) and runs the engine's rounds over
+//! it. The engine samples each cohort with the [`CohortScheduler`],
+//! whose per-round rng stream is keyed by `(seed, round)` so any round
+//! is reproducible in isolation and at any thread count, and folds
+//! each delivered update into the [`StreamingAggregator`]'s running
+//! `O(model)` accumulator, so server memory is
+//! `O(model + cohort_scratch)` regardless of population. Both types
+//! live in `oasis-fl` and are re-exported here. At matched scale a
+//! population round is **bit-identical** to a resident one: same
+//! selection shuffle, same per-client rng streams, same wire, same
+//! fold order, same SGD step.
 //!
 //! ```
 //! use oasis_population::{CohortRunner, Population};
@@ -61,14 +60,11 @@
 
 #![warn(missing_docs)]
 
-mod aggregate;
 mod population;
 mod round;
-mod scheduler;
 mod spec;
 
-pub use aggregate::StreamingAggregator;
+pub use oasis_fl::{CohortReport, CohortScheduler, StreamingAggregator};
 pub use population::{ClientDescriptor, Population};
-pub use round::{CohortReport, CohortRunner};
-pub use scheduler::CohortScheduler;
+pub use round::CohortRunner;
 pub use spec::{PopulationSpec, SampleSpec};

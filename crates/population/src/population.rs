@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use oasis_data::{Dataset, LabeledImage};
-use oasis_fl::{DefenseStack, FlClient};
+use oasis_fl::{ClientSource, DefenseStack, FlClient};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
@@ -269,6 +269,23 @@ impl Population {
             self.items[start..end].to_vec(),
         );
         FlClient::new(desc.id as usize, shard, Arc::clone(&self.defense))
+    }
+}
+
+/// Clients are hydrated per call; wire fates are keyed by position,
+/// which after a churn [`Population::subset`] differs from the
+/// descriptor id.
+impl ClientSource for Population {
+    fn population(&self) -> usize {
+        self.len()
+    }
+
+    fn wire_id(&self, pos: usize) -> usize {
+        pos
+    }
+
+    fn with_client<R>(&self, pos: usize, f: impl FnOnce(&FlClient) -> R) -> R {
+        f(&self.hydrate(self.descriptors[pos]))
     }
 }
 

@@ -1,51 +1,22 @@
 //! The population-scale round driver.
 
-use oasis_fl::{FlError, FlServer, Result, RoundReport};
-use oasis_tensor::parallel;
-use oasis_wire::{DeliveryStatus, EncodedUpdate, Submission};
+use oasis_fl::{CohortReport, CohortScheduler, FlServer, Result};
 use rand::rngs::StdRng;
 
-use crate::{CohortScheduler, Population, StreamingAggregator};
-
-/// A [`RoundReport`] plus the population-scale facts the legacy
-/// report has no room for.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CohortReport {
-    /// The protocol-level outcome, field-compatible with the legacy
-    /// server's report (same selection, same wire, same weights).
-    pub round_report: RoundReport,
-    /// Population size the cohort was sampled from.
-    pub population: usize,
-    /// How many clients were actually hydrated and computed an
-    /// update. Dropped cohort members are never materialized — their
-    /// delivery fate is known from the wire plan before any compute —
-    /// so this equals `round_report.participants`, not the cohort.
-    pub computed: usize,
-    /// Peak accumulator + decode-scratch bytes held by the streaming
-    /// fold, independent of population and cohort: `4·n` for an
-    /// `n`-parameter model on the raw zero-copy wire (frames fold as
-    /// borrowed views), `2 × 4·n` when a lossy codec needs a decode
-    /// slot.
-    pub peak_accum_bytes: usize,
-    /// Peak encoded-frame bytes alive at once: one wire frame per
-    /// concurrent compute slot, `O(threads · frame)`, never
-    /// `O(cohort · frame)`.
-    pub peak_frame_bytes: usize,
-}
+use crate::Population;
 
 /// Drives an [`FlServer`] through rounds sampled from a
-/// [`Population`], replacing the resident-client round loop with
-/// descriptor sampling → delivery planning → lazy hydration →
-/// streaming aggregation.
+/// [`Population`]: the round engine
+/// ([`FlServer::run_cohort_round`]) with the population as its
+/// [`ClientSource`](oasis_fl::ClientSource).
 ///
-/// At matched scale (population == resident client count, same seed,
-/// same wire) [`CohortRunner::run_round`] reproduces
-/// [`FlServer::run_round`] bit-exactly: identical selection shuffle,
-/// round seed, per-client rng streams, delivery fates, FedAvg
-/// weights, fold order, and SGD step. What changes is the resource
-/// shape: memory is `O(model + cohort_scratch)` and dropped clients
-/// cost nothing, so population can grow to 10⁵–10⁶ while the server
-/// footprint stays flat.
+/// Descriptors hydrate only while their update is computed, and only
+/// for cohort members the wire delivers, so memory is
+/// `O(model + cohort_scratch)` and population can grow to 10⁵–10⁶
+/// while the server footprint stays flat. At matched scale
+/// (population == resident client count, same seed, same wire) the
+/// rounds are bit-identical to [`FlServer::run_round`] over the
+/// resident clients.
 pub struct CohortRunner {
     server: FlServer,
     population: Population,
@@ -55,7 +26,7 @@ pub struct CohortRunner {
 impl CohortRunner {
     /// Couples a server to a population. Cohort size comes from the
     /// server's [`oasis_fl::FlConfig::clients_per_round`]: `0` means
-    /// the whole population, exactly as on the legacy path.
+    /// the whole population.
     pub fn new(server: FlServer, population: Population) -> Self {
         let scheduler = CohortScheduler::new(population.len());
         CohortRunner {
@@ -88,12 +59,7 @@ impl CohortRunner {
 
     /// Replaces the population mid-run — how campaigns express churn
     /// (an active-subset swap) and non-IID drift (a re-partition).
-    /// The scheduler is rebuilt only when the client count changes,
-    /// so a same-size swap leaves the sampling stream untouched.
     pub fn set_population(&mut self, population: Population) {
-        if population.len() != self.scheduler.population() {
-            self.scheduler = CohortScheduler::new(population.len());
-        }
         self.population = population;
     }
 
@@ -102,193 +68,26 @@ impl CohortRunner {
         self.server
     }
 
-    /// Runs one population round off an explicit rng — the bridge
-    /// form: driving this with the same sequential
-    /// `StdRng::seed_from_u64(seed)` the legacy
-    /// [`FlServer::run`] uses reproduces its rounds bit-exactly at
-    /// matched scale.
-    ///
-    /// The round proceeds: sample cohort → broadcast → **delivery
-    /// plan** (every codec's wire size is value-independent, so each
-    /// cohort member's fate is decided before any gradient exists) →
-    /// meta pre-pass summing the delivered clients' sample counts →
-    /// wave-parallel hydrate/compute/encode of **delivered clients
-    /// only** → serial streaming fold in delivery order → server SGD
-    /// step.
-    ///
-    /// A round where nothing is delivered is a no-op, not an error —
-    /// and unlike the legacy path it skips client compute entirely.
+    /// Runs one population round off an explicit rng. Driving this
+    /// with one sequential `StdRng::seed_from_u64(seed)` across
+    /// rounds is the rng stream [`FlServer::run`] uses.
     ///
     /// # Errors
     ///
-    /// [`FlError::NoClients`] on an empty population, client model
-    /// errors, wire codec failures, or a delivered set whose sample
-    /// counts sum to zero.
+    /// As [`FlServer::run_cohort_round`]: [`oasis_fl::FlError::NoClients`]
+    /// on an empty population, client model errors, wire codec
+    /// failures, or a delivered set whose sample counts sum to zero.
     pub fn run_round(&mut self, rng: &mut StdRng) -> Result<CohortReport> {
-        if self.population.is_empty() {
-            return Err(FlError::NoClients);
-        }
-        let round_span = oasis_telemetry::span("fl.round");
-        let mut timings = oasis_telemetry::enabled().then(oasis_fl::RoundTimings::default);
-        let m = self
-            .scheduler
-            .cohort_size(self.server.config().clients_per_round);
-        // Same rng discipline as the legacy server: selection shuffle
-        // first, round seed second.
-        let select_span = oasis_telemetry::span("fl.round.select");
-        let (cohort, round_seed) = self.scheduler.sample(m, rng);
-        let cohort: Vec<u32> = cohort.to_vec();
-        let select_ns = select_span.finish_ns();
-
-        let broadcast_span = oasis_telemetry::span("fl.round.broadcast");
-        let global = self.server.broadcast_weights();
-        let n = global.len();
-        let bytes_down_each = n * 4;
-        let codec = self.server.wire().codec().build();
-        let bytes_up_each = codec.encoded_len(n);
-        let net = self.server.wire().net;
-        let round = self.server.round();
-        let broadcast_ns = broadcast_span.finish_ns();
-
-        // Delivery plan: per-submission fates are pure in
-        // (seed, round, client, bytes), and bytes are value-
-        // independent, so the whole wire outcome is known before a
-        // single gradient is computed. Dropped clients cost nothing.
-        let deliver_span = oasis_telemetry::span("fl.round.deliver");
-        let mut bytes_up = 0u64;
-        let mut bytes_down = 0u64;
-        let mut round_ms = 0.0f64;
-        let mut any_missing = false;
-        let mut delivered_ids: Vec<u32> = Vec::new();
-        for &id in &cohort {
-            let sub = Submission {
-                client_id: id as usize,
-                bytes_up: bytes_up_each,
-                bytes_down: bytes_down_each,
-            };
-            bytes_up += sub.bytes_up as u64;
-            bytes_down += sub.bytes_down as u64;
-            let fate = net.delivery(round_seed, round as u64, &sub);
-            match fate.status {
-                DeliveryStatus::Delivered => {
-                    round_ms = round_ms.max(fate.arrival_ms);
-                    delivered_ids.push(id);
-                }
-                DeliveryStatus::Straggler | DeliveryStatus::Dropped => any_missing = true,
-            }
-        }
-        if any_missing {
-            round_ms = round_ms.max(net.straggler_wait_ms());
-        }
-        let dropped = cohort.len() - delivered_ids.len();
-        let deliver_ns = deliver_span.finish_ns();
-
-        let batch = self.server.config().local_batch_size;
-        let mut agg = StreamingAggregator::new(n);
-        let mut peak_frame_bytes = 0usize;
-        let mut hydrate_ns = 0u64;
-        let mut compute_ns = 0u64;
-        let mut fold_ns = 0u64;
-        let mut step_ns = 0u64;
-        let (mean_loss, update_norm) = if delivered_ids.is_empty() {
-            (0.0, 0.0)
-        } else {
-            // Meta pre-pass: FedAvg weights need the delivered total
-            // before the first fold. `round_samples` replays only the
-            // rng-consuming batch prefix — no model, no gradients.
-            let population = &self.population;
-            let hydrate_span = oasis_telemetry::span("fl.round.hydrate");
-            let samples: Vec<usize> = parallel::map_indexed(&delivered_ids, |_, &id| {
-                population
-                    .hydrate(population.descriptor(id as usize))
-                    .round_samples(batch, round_seed)
-            });
-            hydrate_ns = hydrate_span.finish_ns();
-            let total: usize = samples.iter().sum();
-            if total == 0 {
-                return Err(FlError::BadConfig(
-                    "weighted FedAvg over zero samples".into(),
-                ));
-            }
-            // Waves of lazy clients: hydrate → compute → encode, then
-            // drop client and gradients; only the wire frame survives
-            // into the serial fold, which runs in delivery order so
-            // the FP sequence matches the legacy server bit-exactly
-            // at any thread count.
-            let wave_width = parallel::effective_parallelism()
-                .min(delivered_ids.len())
-                .max(1);
-            peak_frame_bytes = wave_width * bytes_up_each;
-            let factory = self.server.factory().clone();
-            let mut loss_sum = 0.0f32;
-            for wave in delivered_ids.chunks(wave_width) {
-                let compute_span = oasis_telemetry::span("fl.round.compute");
-                let frames: Vec<Result<(f32, usize, EncodedUpdate)>> =
-                    parallel::map_indexed(wave, |_, &id| {
-                        let client = population.hydrate(population.descriptor(id as usize));
-                        let update = client.compute_update(&factory, &global, batch, round_seed)?;
-                        let encoded = codec.encode(&update.grads)?;
-                        Ok((update.loss, update.samples, encoded))
-                    });
-                compute_ns += compute_span.finish_ns();
-                let fold_span = oasis_telemetry::span("fl.round.fold");
-                for frame in frames {
-                    let (loss, samples, encoded) = frame?;
-                    agg.fold(&*codec, &encoded, samples as f32 / total as f32)?;
-                    loss_sum += loss;
-                }
-                fold_ns += fold_span.finish_ns();
-            }
-            oasis_telemetry::counter!("fl.clients_computed").add(delivered_ids.len() as u64);
-            oasis_telemetry::gauge!("agg.peak_accum_bytes").set_max(agg.peak_bytes() as i64);
-            let mean_loss = loss_sum / delivered_ids.len() as f32;
-            let update_norm = agg.norm();
-            let step_span = oasis_telemetry::span("fl.round.step");
-            self.server.apply_update(agg.as_slice())?;
-            step_ns = step_span.finish_ns();
-            (mean_loss, update_norm)
-        };
-        oasis_telemetry::counter!("fl.rounds").add(1);
-        let total_ns = round_span.finish_ns();
-        if let Some(t) = timings.as_mut() {
-            t.select_ns = select_ns;
-            t.broadcast_ns = broadcast_ns;
-            t.hydrate_ns = hydrate_ns;
-            t.compute_ns = compute_ns;
-            t.deliver_ns = deliver_ns;
-            t.fold_ns = fold_ns;
-            t.step_ns = step_ns;
-            t.total_ns = total_ns;
-        }
-
-        let report = RoundReport {
-            round,
-            participants: delivered_ids.len(),
-            cohort: cohort.len(),
-            dropped,
-            mean_loss,
-            update_norm,
-            bytes_up,
-            bytes_down,
-            sim_ms: round_ms,
-            timings,
-        };
-        self.server.set_round(round + 1);
-        Ok(CohortReport {
-            round_report: report,
-            population: self.population.len(),
-            computed: agg.folded(),
-            peak_accum_bytes: agg.peak_bytes(),
-            peak_frame_bytes,
-        })
+        self.server
+            .run_cohort_round(&self.population, &mut self.scheduler, rng)
     }
 
     /// Runs `rounds` rounds with per-round keyed rng streams
     /// ([`CohortScheduler::round_rng`]): round `r` depends only on
     /// `(seed, r)`, so long runs can be split, resumed, or replayed
-    /// from any round without replaying the prefix. (The legacy
-    /// bridge — one sequential rng across rounds — is available by
-    /// driving [`CohortRunner::run_round`] directly.)
+    /// from any round without replaying the prefix. (One sequential
+    /// rng across rounds is available by driving
+    /// [`CohortRunner::run_round`] directly.)
     ///
     /// # Errors
     ///
@@ -360,7 +159,6 @@ mod tests {
         let report = r.run_round(&mut StdRng::seed_from_u64(0)).unwrap();
         assert_eq!(report.population, 200);
         assert_eq!(report.round_report.cohort, 16);
-        assert_eq!(report.round_report.selected(), 16);
         assert_eq!(report.round_report.participants, 16);
         assert_eq!(report.computed, 16);
         assert!(report.round_report.update_norm > 0.0);

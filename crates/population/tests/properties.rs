@@ -110,7 +110,7 @@ fn round_rng_is_instance_free() {
     assert_eq!(xs, ys);
 }
 
-/// Sampling the whole population is a permutation — the legacy
+/// Sampling the whole population is a permutation — the
 /// "everyone participates" mode.
 #[test]
 fn full_cohort_is_a_permutation() {

@@ -311,17 +311,29 @@ fn parse_field<T: std::str::FromStr>(
         .map_err(|_| ScenarioError::BadSpec(format!("bad {field} `{value}` in `{family}:` spec")))
 }
 
+/// An attacked-neuron count: a positive integer. Zero is rejected
+/// here, at spec parse, because an attack with no neurons has no
+/// malicious layer to build.
+fn parse_neurons(family: &str, value: &str) -> Result<usize, ScenarioError> {
+    match parse_field::<usize>(family, "neurons", value)? {
+        0 => Err(ScenarioError::BadSpec(format!(
+            "bad neurons `{value}` in `{family}:` spec: need at least 1"
+        ))),
+        neurons => Ok(neurons),
+    }
+}
+
 fn builtin_attacks() -> Vec<AttackFamily> {
     vec![
         AttackFamily {
             name: "rtf",
             grammar: "Robbing the Fed with N attacked imprint neurons (rtf:N)",
             canon: |args| {
-                let neurons = parse_field::<usize>("rtf", "neurons", args.ok_or_else(no_args)?)?;
+                let neurons = parse_neurons("rtf", args.ok_or_else(no_args)?)?;
                 Ok(Some(neurons.to_string()))
             },
             build: |args, calibration, _classes| {
-                let neurons = parse_field::<usize>("rtf", "neurons", args.ok_or_else(no_args)?)?;
+                let neurons = parse_neurons("rtf", args.ok_or_else(no_args)?)?;
                 Ok(Box::new(RtfAttack::calibrated(neurons, calibration)?))
             },
             calibration: |_| 256,
@@ -399,7 +411,7 @@ fn parse_cah(args: Option<&str>) -> Result<(usize, f64), ScenarioError> {
         Some((n, g)) => (n, Some(g)),
         None => (args, None),
     };
-    let neurons = parse_field::<usize>("cah", "neurons", neurons_str)?;
+    let neurons = parse_neurons("cah", neurons_str)?;
     let gamma = match gamma_str {
         Some(g) => parse_field::<f64>("cah", "gamma", g)?,
         None => DEFAULT_ACTIVATION_TARGET,
@@ -422,7 +434,7 @@ fn parse_qbi(args: Option<&str>) -> Result<(usize, usize), ScenarioError> {
         Some((n, b)) => (n, Some(b)),
         None => (args, None),
     };
-    let neurons = parse_field::<usize>("qbi", "neurons", neurons_str)?;
+    let neurons = parse_neurons("qbi", neurons_str)?;
     let batch = match batch_str {
         Some(b) => parse_field::<usize>("qbi", "batch", b)?,
         None => DEFAULT_QBI_BATCH,

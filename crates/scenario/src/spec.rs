@@ -721,6 +721,19 @@ mod tests {
                 "`{bad}` should not parse"
             );
         }
+        // A zero neuron count is a spec error naming the token, for
+        // every family that takes one — never a panic at build time.
+        for (bad, token) in [
+            ("rtf:0", "`0`"),
+            ("cah:0", "`0`"),
+            ("cah:0,0.2", "`0`"),
+            ("qbi:0", "`0`"),
+            ("qbi:00,8", "`00`"),
+        ] {
+            let err = bad.parse::<AttackSpec>().expect_err(bad);
+            assert!(matches!(err, ScenarioError::BadSpec(_)), "`{bad}`: {err}");
+            assert!(err.to_string().contains(token), "`{bad}`: {err}");
+        }
         for bad in [
             "oasis",
             "oasis:XX",

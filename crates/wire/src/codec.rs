@@ -19,8 +19,8 @@ use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
-use crate::arena::FrameBuf;
 use crate::format::{WireBuilder, WireView};
+use crate::framebuf::FrameBuf;
 use crate::WireError;
 
 /// A client update after encoding: codec provenance, the original
@@ -71,7 +71,7 @@ pub trait UpdateCodec: Send + Sync {
 
     /// Decodes into a caller-provided slice of exactly `encoded.n`
     /// elements — the borrowed-output primitive every other decode
-    /// form is built on. The destination is typically an arena slot
+    /// form is built on. The destination is typically a reused slab
     /// ([`FrameBuf::reset`]), so steady-state rounds decode with zero
     /// allocations and exactly one write per element.
     ///

@@ -556,8 +556,8 @@ impl<'a> TensorView<'a, '_> {
     /// Decodes the payload as little-endian `f32`s into a
     /// caller-sized slice — exactly one copy, memcpy-speed when the
     /// source is aligned. This is the copying half of the zero-copy
-    /// pair ([`TensorView::as_f32s`] is the borrowing half); decode
-    /// arenas hand their slots here.
+    /// pair ([`TensorView::as_f32s`] is the borrowing half); reused
+    /// decode buffers ([`crate::FrameBuf`]) land here.
     ///
     /// # Errors
     ///

@@ -43,19 +43,19 @@
 
 #![warn(missing_docs)]
 
-mod arena;
 pub mod checkpoint;
 mod codec;
 mod format;
+mod framebuf;
 pub mod mmap;
 mod net;
 
-pub use arena::{FrameArena, FrameBuf};
 pub use codec::{CodecSpec, EncodedUpdate, Q8Codec, RawCodec, SignCodec, TopKCodec, UpdateCodec};
 pub use format::{
     f32s_to_le_bytes, le_bytes_to_f32s, Dtype, TensorMeta, TensorView, WireBuilder, WireView,
     PAYLOAD_ALIGN,
 };
+pub use framebuf::FrameBuf;
 pub use net::{Delivery, DeliveryStatus, NetSpec, RoundTraffic, Submission};
 
 use std::fmt;

@@ -65,8 +65,8 @@ fn raw_frame_folds_with_zero_post_decode_copies() {
         payload.contains(&first) && payload.contains(&last),
         "decoded view must borrow the wire payload in place"
     );
-    // Zero copies also means zero scratch: the arena slot was never
-    // materialized.
+    // Zero copies also means zero scratch: the decode buffer was
+    // never materialized.
     assert_eq!(scratch.capacity_bytes(), 0, "borrowed decode used scratch");
 }
 

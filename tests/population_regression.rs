@@ -1,9 +1,12 @@
-//! The population-path bridge: at matched scale (population ==
-//! resident client count, same seed, same wire) the cohort runner's
-//! streaming rounds must reproduce the legacy wave-decode
-//! `FlServer::run` **bit-exactly** — reports and final weights — and
-//! stay bit-identical at 1, 2, and 4 threads. Plus the scale-side
-//! guarantees the legacy path cannot express: bounded aggregation
+//! The two client sources of the one round engine: at matched scale
+//! (population == resident client count, same seed, same wire) a
+//! descriptor `Population` driven by the cohort runner must reproduce
+//! `FlServer::run` over resident clients **bit-exactly** — reports
+//! and final weights — and stay bit-identical at 1, 2, and 4 threads.
+//! Both sources run the same loop, so this pins the source plumbing
+//! (selection, wire keys, hydration); `round_engine_golden.rs` pins
+//! the loop itself to recorded numbers. Plus the scale-side
+//! guarantees only descriptors can express: bounded aggregation
 //! memory at 100k clients and split-resumable keyed runs.
 
 use std::sync::Arc;
@@ -38,8 +41,9 @@ fn model_params() -> usize {
     SIDE * SIDE * 3 * HIDDEN + HIDDEN + HIDDEN * CLASSES + CLASSES
 }
 
-/// Runs both paths over the same protocol inputs and returns
-/// (legacy reports, legacy weights, cohort reports, cohort weights).
+/// Runs both client sources over the same protocol inputs and
+/// returns (resident reports, resident weights, cohort reports,
+/// cohort weights).
 fn both_paths(
     clients: usize,
     config: FlConfig,

@@ -168,7 +168,12 @@ fn check(case: &Case, source: &str, (reports, weights): (Vec<RoundReport>, Vec<f
     let Some(Value::Array(rounds)) = golden.get("rounds") else {
         panic!("case {} has no rounds array", case.name)
     };
-    assert_eq!(reports.len(), rounds.len(), "{}/{source}: round count", case.name);
+    assert_eq!(
+        reports.len(),
+        rounds.len(),
+        "{}/{source}: round count",
+        case.name
+    );
     for (report, want) in reports.iter().zip(rounds) {
         for (field, got) in fields(report) {
             let want = want.get(field).and_then(Value::as_u64);
