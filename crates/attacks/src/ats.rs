@@ -56,6 +56,11 @@ impl BatchStage for AtsDefense {
         Batch::new(images, batch.labels.clone())
     }
 
+    /// Replacement, not expansion: one transformed image per sample.
+    fn output_len(&self, n: usize) -> usize {
+        n
+    }
+
     fn name(&self) -> &str {
         "ATS"
     }

@@ -59,6 +59,11 @@ impl BatchStage for Oasis {
         self.defend(batch)
     }
 
+    /// `n · |{x_t} ∪ X′_t|`: every sample plus its augment group.
+    fn output_len(&self, n: usize) -> usize {
+        n * self.config.augmentation().expansion_factor()
+    }
+
     fn name(&self) -> &str {
         self.config.augmentation().name()
     }
@@ -77,8 +82,10 @@ impl Defense for Oasis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oasis_attacks::AtsDefense;
     use oasis_augment::PolicyKind;
     use oasis_data::cifar_like_with;
+    use oasis_fl::DefenseStack;
     use rand::SeedableRng;
 
     fn batch(n: usize) -> Batch {
@@ -137,6 +144,44 @@ mod tests {
     fn preprocessor_name_matches_policy() {
         let defense = Oasis::new(OasisConfig::policy(PolicyKind::Shearing));
         assert_eq!(BatchStage::name(&defense), "SH");
+    }
+
+    #[test]
+    fn output_len_agrees_with_process_for_every_stage() {
+        // The closed form the round engine weights FedAvg by must
+        // equal the batch each stage really produces, for every size.
+        let ds = cifar_like_with(9, 1, 8, 0);
+        let stage_sets: Vec<(String, DefenseStack)> = PolicyKind::all()
+            .into_iter()
+            .map(|kind| {
+                (
+                    format!("oasis:{}", kind.abbrev()),
+                    DefenseStack::of(Oasis::new(OasisConfig::policy(kind))),
+                )
+            })
+            .chain([
+                ("ats".to_owned(), DefenseStack::of(AtsDefense::searched())),
+                ("identity".to_owned(), DefenseStack::identity()),
+                (
+                    "oasis:MR+ats".to_owned(),
+                    DefenseStack::new(vec![
+                        Box::new(Oasis::new(OasisConfig::policy(PolicyKind::MajorRotation))),
+                        Box::new(AtsDefense::searched()),
+                    ]),
+                ),
+            ])
+            .collect();
+        for (label, stack) in &stage_sets {
+            for n in 0..=9 {
+                let b = Batch::from_items(ds.items()[..n].to_vec());
+                let mut rng = StdRng::seed_from_u64(n as u64);
+                assert_eq!(
+                    stack.process_batch(&b, &mut rng).len(),
+                    stack.output_len(n),
+                    "{label} at batch {n}"
+                );
+            }
+        }
     }
 
     #[test]

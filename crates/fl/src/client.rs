@@ -65,36 +65,56 @@ impl FlClient {
         &self.defense
     }
 
-    /// The client's deterministic per-round rng stream. Both
-    /// [`FlClient::compute_update`] and [`FlClient::round_samples`]
-    /// start from this stream, which is why the latter can predict the
-    /// former's sample count without touching the model.
+    /// The client's deterministic per-round rng stream: the batch
+    /// draw, the defense's batch stages and any update-stage noise of
+    /// [`FlClient::compute_update_in`] all consume it, so an update
+    /// depends only on `(round_seed, client id)`.
     fn round_rng(&self, round_seed: u64) -> StdRng {
         StdRng::seed_from_u64(round_seed ^ (self.id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
-    /// How many samples [`FlClient::compute_update`] would report for
-    /// this `(batch_size, round_seed)` — without building the model or
-    /// computing gradients.
+    /// How many samples [`FlClient::compute_update`] reports for this
+    /// `batch_size` — without drawing a batch, running the defense,
+    /// building a model or computing gradients.
     ///
-    /// Replays exactly the rng-consuming prefix of a round (batch draw
-    /// plus defense batch stages, which may expand the batch) on a
-    /// fresh copy of the same seeded stream. Streaming aggregation
-    /// needs every delivered client's sample count up front to form
-    /// FedAvg weights before the first update is folded.
-    pub fn round_samples(&self, batch_size: usize, round_seed: u64) -> usize {
-        let mut rng = self.round_rng(round_seed);
-        let batch = self
-            .data
-            .sample_batch(batch_size.min(self.data.len()), &mut rng);
-        self.defense.process_batch(&batch, &mut rng).len()
+    /// The count is a closed form, the defense stack's
+    /// [`DefenseStack::output_len`] of the drawn batch size
+    /// `min(batch_size, shard)`, so it is the same for every
+    /// `round_seed` and touches neither the rng nor the shard.
+    /// Streaming aggregation needs every delivered client's sample
+    /// count up front to form FedAvg weights before the first update
+    /// is folded.
+    pub fn round_samples(&self, batch_size: usize, _round_seed: u64) -> usize {
+        self.defense.output_len(batch_size.min(self.data.len()))
     }
 
-    /// Executes one round of local computation: loads the broadcast
-    /// weights, runs the defense stack's batch stages on a sampled
-    /// batch, computes the full-batch gradient, and runs the stack's
-    /// update stages on it — the result is precisely what a dishonest
-    /// server gets to inspect.
+    /// Executes one round of local computation on a fresh model from
+    /// `factory`: [`FlClient::compute_update_in`] on `factory()`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates model-execution failures.
+    pub fn compute_update(
+        &self,
+        factory: &ModelFactory,
+        global_params: &[f32],
+        batch_size: usize,
+        round_seed: u64,
+    ) -> Result<ClientUpdate> {
+        self.compute_update_in(&mut factory(), global_params, batch_size, round_seed)
+    }
+
+    /// Executes one round of local computation on `model`: loads the
+    /// broadcast weights into it, runs the defense stack's batch
+    /// stages on a sampled batch, computes the full-batch gradient,
+    /// and runs the stack's update stages on it — the result is
+    /// precisely what a dishonest server gets to inspect.
+    ///
+    /// `model` may be a resident slot that already ran other clients:
+    /// every parameter is overwritten and every gradient zeroed, and
+    /// no layer carries other state into a `Mode::Train` step, so the
+    /// update is bit-identical to one computed on a fresh model of the
+    /// same architecture.
     ///
     /// Update stages apply at client granularity here: the whole
     /// averaged update is clipped to [`DefenseStack::clip_norm`] and
@@ -107,10 +127,11 @@ impl FlClient {
     ///
     /// # Errors
     ///
-    /// Propagates model-execution failures.
-    pub fn compute_update(
+    /// Propagates model-execution failures, including a `model` whose
+    /// parameter count differs from `global_params`.
+    pub fn compute_update_in(
         &self,
-        factory: &ModelFactory,
+        model: &mut Sequential,
         global_params: &[f32],
         batch_size: usize,
         round_seed: u64,
@@ -120,14 +141,13 @@ impl FlClient {
             .data
             .sample_batch(batch_size.min(self.data.len()), &mut rng);
         let processed = self.defense.process_batch(&batch, &mut rng);
-        let mut model = factory();
-        load_params(&mut model, global_params)?;
+        load_params(model, global_params)?;
         model.zero_grad();
         let x = processed.to_matrix();
         let logits = model.forward(&x, Mode::Train)?;
         let loss = softmax_cross_entropy(&logits, &processed.labels)?;
         model.backward(&loss.grad)?;
-        let mut grads = flatten_grads(&mut model);
+        let mut grads = flatten_grads(model);
         self.defense.clip_update(&mut grads);
         self.defense
             .perturb_update(&mut grads, processed.len(), &mut rng);
@@ -151,7 +171,9 @@ mod tests {
     use super::*;
     use crate::{DefenseStack, DpStage};
     use oasis_data::cifar_like_with;
-    use oasis_nn::{flatten_params, Linear, Relu};
+    use oasis_nn::{
+        flatten_params, resnet_lite, AvgPoolAll, BatchNorm, Conv2d, Linear, MaxPool2, Relu,
+    };
 
     fn factory(d: usize, classes: usize) -> ModelFactory {
         Arc::new(move || {
@@ -241,6 +263,9 @@ mod tests {
                 doubled.labels.extend(batch.labels.iter().cloned());
                 doubled
             }
+            fn output_len(&self, n: usize) -> usize {
+                2 * n
+            }
         }
         impl crate::Defense for Doubler {
             fn name(&self) -> &str {
@@ -258,6 +283,82 @@ mod tests {
             let update = client.compute_update(&f, &global, 4, seed).unwrap();
             assert_eq!(client.round_samples(4, seed), update.samples);
         }
+    }
+
+    /// Runs one resident model through three clients with batch sizes
+    /// 2, 5 and 3, each under different global weights, and checks
+    /// every update bit for bit against one computed on a fresh
+    /// `factory()` model.
+    fn assert_slot_reuse_matches_fresh(f: ModelFactory) {
+        let data = cifar_like_with(3, 4, 8, 0);
+        let base = flatten_params(&mut f());
+        let mut slot = f();
+        for (id, batch) in [(0usize, 2usize), (1, 5), (2, 3)] {
+            let global: Vec<f32> = base.iter().map(|w| w * (1.0 + 0.25 * id as f32)).collect();
+            let client = FlClient::new(id, data.clone(), Arc::new(DefenseStack::identity()));
+            let reused = client
+                .compute_update_in(&mut slot, &global, batch, 41)
+                .unwrap();
+            let fresh = client.compute_update(&f, &global, batch, 41).unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&reused.grads), bits(&fresh.grads), "client {id}");
+            assert_eq!(reused.loss.to_bits(), fresh.loss.to_bits(), "client {id}");
+            assert_eq!(reused.samples, fresh.samples);
+        }
+    }
+
+    fn model_factory(build: fn(&mut StdRng) -> Sequential) -> ModelFactory {
+        Arc::new(move || build(&mut StdRng::seed_from_u64(7)))
+    }
+
+    #[test]
+    fn reused_mlp_slot_matches_a_fresh_model() {
+        assert_slot_reuse_matches_fresh(factory(8 * 8 * 3, 3));
+    }
+
+    #[test]
+    fn reused_conv_slot_matches_a_fresh_model() {
+        // The im2col scratch and its validity flag are sized by the
+        // batch, so they change between the three clients.
+        assert_slot_reuse_matches_fresh(model_factory(|rng| {
+            let mut m = Sequential::new();
+            m.push(Conv2d::new(3, 4, 3, 1, 1, (8, 8), rng));
+            m.push(Relu::new());
+            m.push(Linear::new(4 * 8 * 8, 3, rng));
+            m
+        }));
+    }
+
+    #[test]
+    fn reused_batchnorm_slot_matches_a_fresh_model() {
+        // Running statistics drift with every client, but Train-mode
+        // gradients use batch statistics only.
+        assert_slot_reuse_matches_fresh(model_factory(|rng| {
+            let mut m = Sequential::new();
+            m.push(Conv2d::new(3, 4, 3, 1, 1, (8, 8), rng));
+            m.push(BatchNorm::new(4));
+            m.push(Relu::new());
+            m.push(Linear::new(4 * 8 * 8, 3, rng));
+            m
+        }));
+    }
+
+    #[test]
+    fn reused_pooling_slot_matches_a_fresh_model() {
+        assert_slot_reuse_matches_fresh(model_factory(|rng| {
+            let mut m = Sequential::new();
+            m.push(Conv2d::new(3, 4, 3, 1, 1, (8, 8), rng));
+            m.push(MaxPool2::new(4, 8, 8));
+            m.push(Relu::new());
+            m.push(AvgPoolAll::new(4));
+            m.push(Linear::new(4, 3, rng));
+            m
+        }));
+    }
+
+    #[test]
+    fn reused_resnet_slot_matches_a_fresh_model() {
+        assert_slot_reuse_matches_fresh(model_factory(|rng| resnet_lite((3, 8, 8), 4, 3, rng)));
     }
 
     #[test]

@@ -47,6 +47,12 @@ pub trait BatchStage: Send + Sync {
     /// Transforms the sampled batch before gradient computation.
     fn process(&self, batch: &Batch, rng: &mut StdRng) -> Batch;
 
+    /// How many samples [`BatchStage::process`] returns for an
+    /// `n`-sample batch, without running it. The round engine sums
+    /// this closed form for its FedAvg weights before any client
+    /// computes, and rejects a round whose computed count disagrees.
+    fn output_len(&self, n: usize) -> usize;
+
     /// A short name for reports.
     fn name(&self) -> &str {
         "batch-stage"
@@ -60,6 +66,10 @@ pub struct IdentityPreprocessor;
 impl BatchStage for IdentityPreprocessor {
     fn process(&self, batch: &Batch, _rng: &mut StdRng) -> Batch {
         batch.clone()
+    }
+
+    fn output_len(&self, n: usize) -> usize {
+        n
     }
 
     fn name(&self) -> &str {
@@ -292,7 +302,7 @@ impl DefenseStack {
     /// Runs the batch pipeline: every batch stage in stack order.
     /// With no batch stages this clones the batch unchanged.
     pub fn process_batch(&self, batch: &Batch, rng: &mut StdRng) -> Batch {
-        let mut stages = self.defenses.iter().filter_map(|d| d.batch_stage());
+        let mut stages = self.batch_stages();
         let Some(first) = stages.next() else {
             return batch.clone();
         };
@@ -301,6 +311,29 @@ impl DefenseStack {
             out = stage.process(&out, rng);
         }
         out
+    }
+
+    /// How many samples [`DefenseStack::process_batch`] returns for an
+    /// `n`-sample batch: every batch stage's
+    /// [`BatchStage::output_len`], folded in stack order.
+    pub fn output_len(&self, n: usize) -> usize {
+        self.batch_stages()
+            .fold(n, |len, stage| stage.output_len(len))
+    }
+
+    /// The batch stages' names joined by `+` in stack order, or
+    /// `identity` when the stack has none.
+    pub fn batch_stage_names(&self) -> String {
+        let names: Vec<&str> = self.batch_stages().map(|s| s.name()).collect();
+        if names.is_empty() {
+            "identity".to_owned()
+        } else {
+            names.join("+")
+        }
+    }
+
+    fn batch_stages(&self) -> impl Iterator<Item = &dyn BatchStage> + '_ {
+        self.defenses.iter().filter_map(|d| d.batch_stage())
     }
 
     /// The effective per-sample clip bound: the minimum over all
@@ -377,6 +410,54 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(stack.process_batch(&b, &mut rng), b);
         assert_eq!(stack.names(), vec!["identity"]);
+    }
+
+    /// Appends a copy of the first sample.
+    struct PlusOne;
+
+    impl BatchStage for PlusOne {
+        fn process(&self, batch: &Batch, _rng: &mut StdRng) -> Batch {
+            let mut out = batch.clone();
+            out.images.extend(batch.images.first().cloned());
+            out.labels.extend(batch.labels.first().copied());
+            out
+        }
+
+        fn output_len(&self, n: usize) -> usize {
+            n + usize::from(n > 0)
+        }
+
+        fn name(&self) -> &str {
+            "plus1"
+        }
+    }
+
+    impl Defense for PlusOne {
+        fn name(&self) -> &str {
+            "plus1"
+        }
+
+        fn batch_stage(&self) -> Option<&dyn BatchStage> {
+            Some(self)
+        }
+    }
+
+    #[test]
+    fn output_len_folds_the_batch_stages_in_order() {
+        let stack = DefenseStack::new(vec![
+            Box::new(PlusOne),
+            Box::new(DpStage::new(1.0, 0.1)),
+            Box::new(PlusOne),
+        ]);
+        assert_eq!(stack.batch_stage_names(), "plus1+plus1");
+        assert_eq!(DefenseStack::identity().batch_stage_names(), "identity");
+        for n in 0..5 {
+            let b = batch(n);
+            let mut rng = StdRng::seed_from_u64(0);
+            assert_eq!(stack.process_batch(&b, &mut rng).len(), stack.output_len(n));
+            assert_eq!(DefenseStack::identity().output_len(n), n);
+        }
+        assert_eq!(stack.output_len(3), 5);
     }
 
     #[test]

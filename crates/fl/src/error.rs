@@ -21,6 +21,20 @@ pub enum FlError {
     NoClients,
     /// Encoding or decoding an update on the wire failed.
     Wire(oasis_wire::WireError),
+    /// A client computed on a different number of samples than its
+    /// batch stages' [`crate::BatchStage::output_len`] predicted, so
+    /// the round's FedAvg weights would be wrong.
+    SampleCount {
+        /// The client's wire id.
+        client: usize,
+        /// The client's batch stages, `+`-joined (see
+        /// [`crate::DefenseStack::batch_stage_names`]).
+        stage: String,
+        /// The count the round engine weighted the client by.
+        predicted: usize,
+        /// The count the client actually trained on.
+        computed: usize,
+    },
 }
 
 impl fmt::Display for FlError {
@@ -33,6 +47,16 @@ impl fmt::Display for FlError {
             }
             FlError::NoClients => write!(f, "round executed with no clients"),
             FlError::Wire(e) => write!(f, "wire error: {e}"),
+            FlError::SampleCount {
+                client,
+                stage,
+                predicted,
+                computed,
+            } => write!(
+                f,
+                "client {client}: batch stage `{stage}` produced {computed} samples, \
+                 its output_len predicted {predicted}"
+            ),
         }
     }
 }
@@ -72,6 +96,12 @@ mod tests {
                 expected: 2,
             },
             FlError::NoClients,
+            FlError::SampleCount {
+                client: 3,
+                stage: "MR".into(),
+                predicted: 16,
+                computed: 8,
+            },
         ] {
             assert!(!e.to_string().is_empty());
         }

@@ -115,6 +115,9 @@ pub struct FlServer {
     tamper: Option<Box<dyn crate::ModelTamper>>,
     wire: WireConfig,
     round: usize,
+    // Resident client models, one per wave lane, built lazily by the
+    // round engine and refreshed by `load_params` for every client.
+    slots: Vec<Sequential>,
 }
 
 impl FlServer {
@@ -137,6 +140,7 @@ impl FlServer {
             tamper: None,
             wire: WireConfig::default(),
             round: 0,
+            slots: Vec::new(),
         })
     }
 
@@ -165,6 +169,20 @@ impl FlServer {
     /// The model factory clients instantiate their local copy from.
     pub fn factory(&self) -> &ModelFactory {
         &self.factory
+    }
+
+    /// The round engine's split borrow: the update codec and `lanes`
+    /// resident client models, the missing ones built by the factory
+    /// now. Slots are kept across rounds, so the factory runs at most
+    /// once per lane over the server's lifetime.
+    pub(crate) fn codec_and_slots(
+        &mut self,
+        lanes: usize,
+    ) -> (&dyn UpdateCodec, &mut [Sequential]) {
+        while self.slots.len() < lanes {
+            self.slots.push((self.factory)());
+        }
+        (self.wire.update_codec(), &mut self.slots[..lanes])
     }
 
     /// The global model (e.g. for evaluation).

@@ -20,11 +20,14 @@ pub struct RoundTimings {
     pub broadcast_ns: u64,
     /// The delivery plan: submissions, fates, drops.
     pub deliver_ns: u64,
-    /// The pre-pass over delivered clients that sums their sample
-    /// counts for the FedAvg weights (hydrating descriptor clients).
+    /// The pre-pass that sums the delivered clients' sample counts
+    /// for the FedAvg weights: a closed-form sum over shard lengths
+    /// and the defense's `output_len`, which no longer hydrates a
+    /// client or runs the defense (the `fl.round.hydrate` span).
     pub hydrate_ns: u64,
-    /// The delivered clients' waves: hydrate + local training +
-    /// update encoding.
+    /// The delivered clients' waves: hydrate each client, train it on
+    /// its lane's resident model slot (built here on first use), and
+    /// encode the update.
     pub compute_ns: u64,
     /// Decoding each delivered frame and accumulating it into the
     /// sample-weighted sum.

@@ -272,9 +272,9 @@ impl Population {
     }
 }
 
-/// Clients are hydrated per call; wire fates are keyed by position,
-/// which after a churn [`Population::subset`] differs from the
-/// descriptor id.
+/// Clients are hydrated per call, but sample counts come from the
+/// descriptors alone; wire fates are keyed by position, which after a
+/// churn [`Population::subset`] differs from the descriptor id.
 impl ClientSource for Population {
     fn population(&self) -> usize {
         self.len()
@@ -286,6 +286,12 @@ impl ClientSource for Population {
 
     fn with_client<R>(&self, pos: usize, f: impl FnOnce(&FlClient) -> R) -> R {
         f(&self.hydrate(self.descriptors[pos]))
+    }
+
+    /// From the descriptor's shard length: no hydrate.
+    fn round_samples(&self, pos: usize, batch_size: usize) -> usize {
+        self.defense
+            .output_len(batch_size.min(self.descriptors[pos].shard_len()))
     }
 }
 
@@ -434,6 +440,26 @@ mod tests {
         let sub = pop.subset(&[1, 3]);
         assert!(Arc::ptr_eq(&pop.items, &sub.items));
         assert_eq!(sub.len(), 2);
+    }
+
+    #[test]
+    fn descriptor_sample_counts_match_hydrated_clients() {
+        // Uneven Dirichlet shards, some shorter than the batch: the
+        // descriptor-only count must equal the hydrated client's.
+        let data = cifar_like_with(4, 10, 8, 1);
+        let pop = Population::dirichlet(
+            &data,
+            12,
+            0.3,
+            Arc::new(DefenseStack::identity()),
+            &mut StdRng::seed_from_u64(6),
+        );
+        for pos in 0..pop.len() {
+            for batch in [1, 4, 64] {
+                let hydrated = pop.hydrate(pop.descriptor(pos)).round_samples(batch, 0);
+                assert_eq!(ClientSource::round_samples(&pop, pos, batch), hydrated);
+            }
+        }
     }
 
     #[test]

@@ -267,8 +267,8 @@ where
 /// Runs `f(index, &mut items[index])` for every item on pool workers.
 ///
 /// Items are handed out as disjoint `&mut` chunks, so the closure may
-/// mutate freely without synchronization. Used by the FL server to
-/// decode a wave of wire updates into per-slot scratch buffers.
+/// mutate freely without synchronization. Used by the FL round
+/// engine to hand each wave lane its own resident model slot.
 pub fn for_each_mut<T, F>(items: &mut [T], f: F)
 where
     T: Send,

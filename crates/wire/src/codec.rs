@@ -19,8 +19,9 @@ use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
-use crate::format::{WireBuilder, WireView};
+use crate::format::{frame_len, WireBuilder, WireView};
 use crate::framebuf::FrameBuf;
+use crate::Dtype;
 use crate::WireError;
 
 /// A client update after encoding: codec provenance, the original
@@ -118,19 +119,13 @@ pub trait UpdateCodec: Send + Sync {
 
     /// Exact wire size of any `n`-element update under this codec.
     ///
-    /// Every built-in codec's frame size is a pure function of the
-    /// element count — values never change the byte count — which is
-    /// what lets a round's delivery plan be computed before any update
-    /// is materialized (the population scheduler relies on this). The
-    /// default implementation encodes an all-zeros probe vector once;
-    /// a codec whose size *did* depend on values would have to
-    /// override it (and would break the size-determinism property
-    /// test in doing so).
-    fn encoded_len(&self, n: usize) -> usize {
-        self.encode(&vec![0.0; n])
-            .map(|e| e.byte_size())
-            .unwrap_or(0)
-    }
+    /// Every codec's frame size is a pure function of the element
+    /// count — values never change the byte count — which is what
+    /// lets a round's delivery plan be computed before any update is
+    /// materialized. Each codec computes it from its frame layout,
+    /// without encoding; the size-determinism test checks it against
+    /// real encodes.
+    fn encoded_len(&self, n: usize) -> usize;
 }
 
 /// A codec choice, as a value. Spec grammar (round-tripping through
@@ -274,6 +269,10 @@ impl UpdateCodec for RawCodec {
         view.require("update")?.read_f32(out)
     }
 
+    fn encoded_len(&self, n: usize) -> usize {
+        frame_len(&[("update", Dtype::F32, &[n])])
+    }
+
     /// The zero-copy fast path: a raw frame's `update` tensor is
     /// borrowed straight off the wire payload when its extent is
     /// 4-byte aligned (which [`WireBuilder::finish`]'s padded headers
@@ -339,7 +338,7 @@ impl UpdateCodec for Q8Codec {
             oasis_tensor::simd::quantize_q8(update, lo, scale, &mut q);
         }
         let mut b = WireBuilder::new();
-        b.push("q", crate::Dtype::U8, &[q.len()], &q)?;
+        b.push("q", Dtype::U8, &[q.len()], &q)?;
         b.push_f32("affine", &[2], &[lo, scale as f32])?;
         let payload = b.finish();
         oasis_telemetry::counter!("wire.bytes_encoded").add(payload.len() as u64);
@@ -376,6 +375,10 @@ impl UpdateCodec for Q8Codec {
         // past f32::MAX, and the decoder must never emit inf/NaN.
         oasis_tensor::simd::dequantize_q8(q, lo, scale, out);
         Ok(())
+    }
+
+    fn encoded_len(&self, n: usize) -> usize {
+        frame_len(&[("q", Dtype::U8, &[n]), ("affine", Dtype::F32, &[2])])
     }
 }
 
@@ -455,6 +458,11 @@ impl UpdateCodec for TopKCodec {
         }
         Ok(())
     }
+
+    fn encoded_len(&self, n: usize) -> usize {
+        let k = self.k.min(n);
+        frame_len(&[("idx", Dtype::U32, &[k]), ("val", Dtype::F32, &[k])])
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -488,7 +496,7 @@ impl UpdateCodec for SignCodec {
             (update.iter().map(|&v| f64::from(v.abs())).sum::<f64>() / update.len() as f64) as f32
         };
         let mut b = WireBuilder::new();
-        b.push("bits", crate::Dtype::U8, &[bits.len()], &bits)?;
+        b.push("bits", Dtype::U8, &[bits.len()], &bits)?;
         b.push_f32("mag", &[1], &[mag])?;
         let payload = b.finish();
         oasis_telemetry::counter!("wire.bytes_encoded").add(payload.len() as u64);
@@ -523,6 +531,13 @@ impl UpdateCodec for SignCodec {
         }
         oasis_tensor::simd::unpack_signs(bits, mag, out);
         Ok(())
+    }
+
+    fn encoded_len(&self, n: usize) -> usize {
+        frame_len(&[
+            ("bits", Dtype::U8, &[n.div_ceil(8)]),
+            ("mag", Dtype::F32, &[1]),
+        ])
     }
 }
 
@@ -656,13 +671,21 @@ mod tests {
         // The size-determinism contract behind `encoded_len`: the
         // frame size of every codec depends only on the element
         // count, so a delivery plan computed from `encoded_len`
-        // matches the bytes a real encode would put on the wire.
-        let vectors: Vec<Vec<f32>> = vec![
+        // matches the bytes a real encode would put on the wire. Each
+        // codec's closed form is checked against encodes of both
+        // zeros (the generic probe) and varied values, for the empty
+        // update, one element, a partial sign byte, a partial topk
+        // and the 49 866-parameter campaign model.
+        let mut vectors: Vec<Vec<f32>> = vec![
             sample(),
             vec![0.0; 8],
             (0..257).map(|i| (i as f32).sin() * 1e3).collect(),
             vec![f32::MAX, -f32::MAX, 0.0, 1.0],
         ];
+        for n in [0usize, 1, 7, 257, 49_866] {
+            vectors.push(vec![0.0; n]);
+            vectors.push((0..n).map(|i| (i as f32 * 0.37).cos()).collect());
+        }
         for spec in [
             CodecSpec::Raw,
             CodecSpec::Q8,

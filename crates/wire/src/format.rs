@@ -341,12 +341,8 @@ impl WireBuilder {
     /// decode path (trailing whitespace is valid JSON, so old readers
     /// parse padded headers unchanged).
     pub fn finish(self) -> Vec<u8> {
-        let header = Header {
-            version: WIRE_VERSION,
-            tensors: self.tensors,
-        };
-        let json = serde_json::to_string(&header).expect("header serialization is infallible");
-        let header_len = (8 + json.len()).next_multiple_of(PAYLOAD_ALIGN) - 8;
+        let json = header_json(self.tensors);
+        let header_len = padded_header_len(json.len());
         let mut out = Vec::with_capacity(8 + header_len + self.payload.len());
         out.extend_from_slice(&(header_len as u64).to_le_bytes());
         out.extend_from_slice(json.as_bytes());
@@ -354,6 +350,43 @@ impl WireBuilder {
         out.extend_from_slice(&self.payload);
         out
     }
+}
+
+/// Exact byte length of the frame [`WireBuilder::finish`] writes for
+/// tensors with these names, dtypes and shapes, pushed in this order.
+/// Computed from the header alone: no payload is built and no values
+/// are read, which is why every codec's frame size is a pure function
+/// of its tensors' shapes.
+pub(crate) fn frame_len(tensors: &[(&str, Dtype, &[usize])]) -> usize {
+    let mut payload = 0usize;
+    let metas = tensors
+        .iter()
+        .map(|&(name, dtype, shape)| {
+            let start = payload;
+            payload += shape.iter().product::<usize>() * dtype.size();
+            TensorMeta {
+                name: name.to_owned(),
+                dtype,
+                shape: shape.to_vec(),
+                offsets: (start, payload),
+            }
+        })
+        .collect();
+    8 + padded_header_len(header_json(metas).len()) + payload
+}
+
+fn header_json(tensors: Vec<TensorMeta>) -> String {
+    let header = Header {
+        version: WIRE_VERSION,
+        tensors,
+    };
+    serde_json::to_string(&header).expect("header serialization is infallible")
+}
+
+/// The JSON header's length once space-padded so the payload starts
+/// [`PAYLOAD_ALIGN`]ed after the 8-byte length prefix.
+fn padded_header_len(json_len: usize) -> usize {
+    (8 + json_len).next_multiple_of(PAYLOAD_ALIGN) - 8
 }
 
 /// A zero-copy view over a parsed wire buffer.
