@@ -12,7 +12,9 @@
 //! Five suites:
 //!
 //! * `core` — tensor/nn kernels: matmul / matmul_nt / matmul_tn at
-//!   model-relevant shapes, Conv2d forward+backward. Also carries the
+//!   model-relevant shapes (including the three products of the
+//!   attacks' 6.3 MB malicious layer, `*_rtf512`, which outgrow L2),
+//!   Conv2d forward+backward. Also carries the
 //!   SIMD record pairs: the lane-sensitive hot paths (matmul, q8
 //!   codec, PSNR) re-run with the SIMD backend pinned to the best
 //!   detected one (`_simd`) and to the scalar reference (`_scalar`)
@@ -97,6 +99,12 @@ pub struct BenchSuite {
     /// captured before the field existed.
     #[serde(default)]
     pub simd: String,
+    /// Logical CPUs the machine offered
+    /// (`std::thread::available_parallelism`), so baselines taken on
+    /// machines of different widths can be told apart. 0 in baselines
+    /// captured before the field existed.
+    #[serde(default)]
+    pub nproc: usize,
     /// Whether the run used the reduced `--quick` calibration budget.
     pub quick: bool,
     /// Per-bench results, in suite order.
@@ -157,6 +165,18 @@ pub fn core_suite() -> Vec<BenchDef> {
             build: bench_matmul_nt_linear,
         },
         BenchDef {
+            name: "matmul_nt_rtf512",
+            build: bench_matmul_nt_rtf512,
+        },
+        BenchDef {
+            name: "matmul_tn_rtf512",
+            build: bench_matmul_tn_rtf512,
+        },
+        BenchDef {
+            name: "matmul_rtf512_gx",
+            build: bench_matmul_rtf512_gx,
+        },
+        BenchDef {
             name: "conv2d_forward_b8",
             build: bench_conv_forward_b8,
         },
@@ -183,6 +203,14 @@ pub fn core_suite() -> Vec<BenchDef> {
         BenchDef {
             name: "matmul_nt_linear_scalar",
             build: bench_matmul_nt_linear_scalar,
+        },
+        BenchDef {
+            name: "matmul_nt_rtf512_simd",
+            build: bench_matmul_nt_rtf512_simd,
+        },
+        BenchDef {
+            name: "matmul_nt_rtf512_scalar",
+            build: bench_matmul_nt_rtf512_scalar,
         },
         BenchDef {
             name: "codec_q8_encode_simd",
@@ -426,6 +454,7 @@ pub fn run_suite(name: &str, filter: Option<&str>, quick: bool) -> Option<BenchS
         suite: name.to_string(),
         threads: parallel::num_threads(),
         simd: simd::resolved().label().to_string(),
+        nproc: std::thread::available_parallelism().map_or(0, |n| n.get()),
         quick,
         results,
     })
@@ -655,6 +684,56 @@ fn bench_matmul_nt_linear() -> PreparedBench {
     }
 }
 
+/// The `attack_cell` malicious layer (`rtf:512` on 3×32×32 inputs,
+/// the B=8 batch expanded 4× by `oasis:MR`): 32 flattened images and
+/// a 512×3072 weight, 6.3 MB — larger than a core's L2, unlike
+/// `matmul_nt_linear`'s 786 KB. `(m, k, n)` of its forward product.
+const RTF512: (usize, usize, usize) = (32, 3 * 32 * 32, 512);
+
+/// The malicious layer's forward pass, `x · Wᵀ`.
+fn bench_matmul_nt_rtf512() -> PreparedBench {
+    let (m, k, n) = RTF512;
+    let x = seeded_tensor(&[m, k], 24);
+    let w = seeded_tensor(&[n, k], 25);
+    PreparedBench {
+        throughput: Some((matmul_flops(m, k, n), "flop/s")),
+        run: Box::new(move || {
+            std::hint::black_box(x.matmul_nt(&w).expect("bench matmul_nt"));
+        }),
+    }
+}
+
+/// The malicious layer's weight gradient, `∂W += δᵀ · x`, through the
+/// fused accumulate `Linear::backward` uses.
+fn bench_matmul_tn_rtf512() -> PreparedBench {
+    let (m, k, n) = RTF512;
+    let delta = seeded_tensor(&[m, n], 26);
+    let x = seeded_tensor(&[m, k], 27);
+    let mut grad = Tensor::zeros(&[n, k]);
+    PreparedBench {
+        throughput: Some((matmul_flops(n, m, k), "flop/s")),
+        run: Box::new(move || {
+            delta
+                .matmul_tn_acc(&x, &mut grad)
+                .expect("bench matmul_tn_acc");
+            std::hint::black_box(&grad);
+        }),
+    }
+}
+
+/// The malicious layer's input gradient, `δ · W`.
+fn bench_matmul_rtf512_gx() -> PreparedBench {
+    let (m, k, n) = RTF512;
+    let delta = seeded_tensor(&[m, n], 28);
+    let w = seeded_tensor(&[n, k], 29);
+    PreparedBench {
+        throughput: Some((matmul_flops(m, n, k), "flop/s")),
+        run: Box::new(move || {
+            std::hint::black_box(delta.matmul(&w).expect("bench matmul"));
+        }),
+    }
+}
+
 fn conv_layer() -> Conv2d {
     // The workloads' first conv: 3→16 channels, 3×3, stride 1, pad 1
     // on 16×16 inputs.
@@ -697,6 +776,14 @@ fn bench_matmul_nt_linear_simd() -> PreparedBench {
 
 fn bench_matmul_nt_linear_scalar() -> PreparedBench {
     simd_pinned(simd::Backend::Scalar, bench_matmul_nt_linear())
+}
+
+fn bench_matmul_nt_rtf512_simd() -> PreparedBench {
+    simd_pinned(simd::Backend::detect(), bench_matmul_nt_rtf512())
+}
+
+fn bench_matmul_nt_rtf512_scalar() -> PreparedBench {
+    simd_pinned(simd::Backend::Scalar, bench_matmul_nt_rtf512())
 }
 
 fn bench_codec_q8_encode_simd() -> PreparedBench {
@@ -1274,6 +1361,9 @@ mod tests {
                 "matmul_nt_conv_gw",
                 "matmul_tn_conv_gx",
                 "matmul_nt_linear",
+                "matmul_nt_rtf512",
+                "matmul_tn_rtf512",
+                "matmul_rtf512_gx",
                 "conv2d_forward_b8",
                 "conv2d_backward_b8",
                 "conv2d_forward_b32",
@@ -1281,6 +1371,8 @@ mod tests {
                 "matmul_256_scalar",
                 "matmul_nt_linear_simd",
                 "matmul_nt_linear_scalar",
+                "matmul_nt_rtf512_simd",
+                "matmul_nt_rtf512_scalar",
                 "codec_q8_encode_simd",
                 "codec_q8_encode_scalar",
                 "codec_q8_decode_simd",
@@ -1368,6 +1460,7 @@ mod tests {
             suite: "scale".into(),
             threads: 4,
             simd: "scalar".into(),
+            nproc: 2,
             quick: true,
             results: medians
                 .iter()
@@ -1472,9 +1565,9 @@ mod tests {
     }
 
     #[test]
-    fn baselines_without_simd_field_still_parse() {
-        // Committed BENCH_*.json files predating the `simd` field must
-        // stay diffable without a schema bump.
+    fn baselines_without_simd_or_nproc_fields_still_parse() {
+        // Committed BENCH_*.json files predating the `simd` and
+        // `nproc` fields must stay diffable without a schema bump.
         let json = r#"{
             "schema_version": 1,
             "suite": "core",
@@ -1484,6 +1577,7 @@ mod tests {
         }"#;
         let suite: BenchSuite = serde_json::from_str(json).expect("old baseline parses");
         assert_eq!(suite.simd, "");
+        assert_eq!(suite.nproc, 0);
     }
 
     #[test]
@@ -1510,6 +1604,7 @@ mod tests {
             suite: "core".into(),
             threads: 4,
             simd: "avx2".into(),
+            nproc: 2,
             quick: true,
             results: vec![
                 BenchRecord {
@@ -1566,6 +1661,7 @@ mod tests {
             suite: "core".into(),
             threads: 1,
             simd: "scalar".into(),
+            nproc: 2,
             quick: true,
             results,
         };
@@ -1606,6 +1702,7 @@ mod tests {
             suite: "core".into(),
             threads: 1,
             simd: "scalar".into(),
+            nproc: 2,
             quick: true,
             results: vec![],
         };
@@ -1632,6 +1729,7 @@ mod tests {
             suite: "fl".into(),
             threads: 1,
             simd: "scalar".into(),
+            nproc: 2,
             quick: false,
             results: vec![rec(median)],
         };

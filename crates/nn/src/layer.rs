@@ -87,7 +87,7 @@ pub fn param_count_ref(layer: &dyn Layer) -> usize {
 /// consumers (checkpointing, broadcast snapshots) flatten without
 /// exclusive access to the model.
 pub fn flatten_params_ref(layer: &dyn Layer) -> Vec<f32> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(param_count_ref(layer));
     layer.visit_params_ref(&mut |p| out.extend_from_slice(p.data()));
     out
 }
@@ -95,15 +95,18 @@ pub fn flatten_params_ref(layer: &dyn Layer) -> Vec<f32> {
 /// Flattens all parameters into a single `Vec<f32>` in visit order —
 /// the "global model weights `w`" that the FL server broadcasts.
 pub fn flatten_params(layer: &mut dyn Layer) -> Vec<f32> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(param_count(layer));
     layer.visit_params(&mut |p, _| out.extend_from_slice(p.data()));
     out
 }
 
 /// Flattens all accumulated gradients into a single `Vec<f32>` in
 /// visit order — the "model update `G_j`" a client uploads.
+///
+/// The buffer is sized up front: grown by appends, a wide layer's
+/// weight followed by its bias would double the allocation.
 pub fn flatten_grads(layer: &mut dyn Layer) -> Vec<f32> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(param_count(layer));
     layer.visit_params(&mut |_, g| out.extend_from_slice(g.data()));
     out
 }
@@ -172,6 +175,21 @@ mod tests {
         let mut b = Linear::new(3, 2, &mut rng);
         load_params(&mut b, &flat).unwrap();
         assert_eq!(flatten_params(&mut b), flat);
+    }
+
+    #[test]
+    fn flatteners_allocate_exactly_once() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut l = Linear::new(300, 7, &mut rng);
+        let n = param_count(&mut l);
+        for flat in [
+            flatten_params(&mut l),
+            flatten_params_ref(&l),
+            flatten_grads(&mut l),
+        ] {
+            assert_eq!(flat.len(), n);
+            assert_eq!(flat.capacity(), n);
+        }
     }
 
     #[test]

@@ -126,9 +126,10 @@ impl Layer for Linear {
             .cached_input
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "linear" })?;
-        // ∂L/∂W = δᵀ · x  (out, in)
-        self.grad_weight
-            .add_assign(&grad_output.matmul_tn(input)?)?;
+        // ∂L/∂W += δᵀ · x  (out, in), accumulated tile by tile straight
+        // into the gradient: bit-identical to adding a materialized
+        // product, without the (out, in) temporary.
+        grad_output.matmul_tn_acc(input, &mut self.grad_weight)?;
         // ∂L/∂b = Σ_batch δ
         self.grad_bias.add_assign(&grad_output.sum_axis0()?)?;
         // ∂L/∂x = δ · W

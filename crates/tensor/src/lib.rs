@@ -45,6 +45,8 @@ pub mod simd;
 mod tensor;
 
 pub use error::TensorError;
+#[doc(hidden)]
+pub use matmul::tile_rows;
 pub use shape::Shape;
 pub use tensor::Tensor;
 

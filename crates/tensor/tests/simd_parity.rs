@@ -12,8 +12,11 @@
 //! CI perf leg runs on AVX2 where they are load-bearing.
 
 use oasis_tensor::simd::{self, Backend};
-use oasis_tensor::{parallel, Tensor};
+use oasis_tensor::{parallel, tile_rows, Tensor};
 use proptest::prelude::*;
+
+mod reference;
+use reference::{bits, matrix};
 
 /// Element strategy biased toward lane-combine edge cases.
 fn tricky_f32() -> impl Strategy<Value = f32> {
@@ -249,6 +252,91 @@ fn matmul_is_bit_identical_across_backends_and_threads() {
                 reference.2.data(),
                 "matmul_tn {backend:?} t={threads}"
             );
+        }
+    }
+}
+
+/// Runs `check` under every backend × thread-count combination the
+/// kernels promise to be invariant over, labelled for messages.
+fn for_each_backend_and_thread_count(mut check: impl FnMut(&str)) {
+    for backend in [Backend::Scalar, best()] {
+        for threads in [1, 2, 4] {
+            simd::with_backend(backend, || {
+                parallel::with_threads(threads, || check(&format!("{backend:?} t={threads}")))
+            });
+        }
+    }
+}
+
+#[test]
+fn tiled_axpy_products_match_the_reference_at_tile_boundaries() {
+    // Output rows are tiled: n = 8192 makes a tile 8 rows at the
+    // kernel's 256 KiB budget (`t` follows the kernel either way).
+    // The shapes straddle the boundary (one row short, exact, one row
+    // over, two tiles plus one), every `k % 4` appears, and every m
+    // but the exact-tile one is odd, so row pairs get a leftover.
+    let n = 8192;
+    let t = tile_rows(n);
+    for (s, (m, k)) in [(t - 1, 8), (t, 9), (t + 1, 10), (2 * t + 1, 11)]
+        .into_iter()
+        .enumerate()
+    {
+        let s = s as u64;
+        let a = matrix(m, k, 10 + s);
+        let at = matrix(m, k, 20 + s).transpose().unwrap();
+        let b = matrix(k, n, 30 + s);
+        let acc0 = matrix(m, n, 40 + s);
+        let want = bits(&reference::matmul(&a, &b));
+        let want_tn = reference::matmul_tn(&at, &b);
+        let want_acc: Vec<u32> = acc0
+            .data()
+            .iter()
+            .zip(&want_tn)
+            .map(|(x, y)| (x + y).to_bits())
+            .collect();
+        let want_tn = bits(&want_tn);
+        for_each_backend_and_thread_count(|ctx| {
+            assert_eq!(
+                bits(a.matmul(&b).unwrap().data()),
+                want,
+                "matmul m={m} k={k} {ctx}"
+            );
+            assert_eq!(
+                bits(at.matmul_tn(&b).unwrap().data()),
+                want_tn,
+                "matmul_tn m={m} k={k} {ctx}"
+            );
+            let mut acc = acc0.clone();
+            at.matmul_tn_acc(&b, &mut acc).unwrap();
+            assert_eq!(
+                bits(acc.data()),
+                want_acc,
+                "matmul_tn_acc m={m} k={k} {ctx}"
+            );
+        });
+    }
+}
+
+#[test]
+fn tiled_dot_products_match_the_reference_at_tile_boundaries() {
+    // Left-hand rows are tiled for the long-reduction `matmul_nt`:
+    // k ≈ 8192 makes a tile 8 rows (6 once k passes 8192), and
+    // `k % 8` ∈ {0, 1, 2, 3} gives the dot's sequential tail work.
+    let n = 9;
+    for (s, r) in (0..4).enumerate() {
+        let k = 8192 + r;
+        let t = tile_rows(k);
+        let b = matrix(n, k, 50 + s as u64);
+        for m in [t - 1, t, t + 1, 2 * t + 1] {
+            let a = matrix(m, k, 60 + m as u64);
+            let want = bits(&reference::matmul_nt(&a, &b));
+            for_each_backend_and_thread_count(|ctx| {
+                assert_eq!(
+                    bits(a.matmul_nt(&b).unwrap().data()),
+                    want,
+                    "matmul_nt m={m} k={k} {ctx}"
+                );
+            });
         }
     }
 }

@@ -50,10 +50,16 @@ fn for_each_param_entry(model: &Sequential, f: ParamEntryVisitor) -> Result<(), 
 /// Tensor names are `"{layer:03}.{layer_name}.{param}"` in visit
 /// order, so the buffer is self-describing and order-stable.
 pub fn model_to_bytes(model: &Sequential) -> Result<Vec<u8>, WireError> {
-    let payload_bytes = oasis_nn::param_count_ref(model) * std::mem::size_of::<f32>();
-    let mut builder = WireBuilder::with_payload_capacity(payload_bytes);
+    // The builder borrows each payload until `finish`, but a layer
+    // lends its tensors only for the span of a visit, so the values
+    // are flattened first (same visit order) and pushed as slices.
+    let flat = oasis_nn::flatten_params_ref(model);
+    let mut rest = flat.as_slice();
+    let mut builder = WireBuilder::new();
     for_each_param_entry(model, &mut |name, shape, data| {
-        builder.push_f32(name, shape, data).map(|_| ())
+        let (values, tail) = rest.split_at(data.len());
+        rest = tail;
+        builder.push_f32(name, shape, values).map(|_| ())
     })?;
     Ok(builder.finish())
 }

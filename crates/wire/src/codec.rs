@@ -250,7 +250,7 @@ impl UpdateCodec for RawCodec {
 
     fn encode(&self, update: &[f32]) -> Result<EncodedUpdate, WireError> {
         let _span = oasis_telemetry::span("wire.encode.raw");
-        let mut b = WireBuilder::with_payload_capacity(update.len() * 4);
+        let mut b = WireBuilder::new();
         b.push_f32("update", &[update.len()], update)?;
         let payload = b.finish();
         oasis_telemetry::counter!("wire.bytes_encoded").add(payload.len() as u64);
@@ -337,9 +337,10 @@ impl UpdateCodec for Q8Codec {
         if scale > 0.0 {
             oasis_tensor::simd::quantize_q8(update, lo, scale, &mut q);
         }
+        let affine = [lo, scale as f32];
         let mut b = WireBuilder::new();
         b.push("q", Dtype::U8, &[q.len()], &q)?;
-        b.push_f32("affine", &[2], &[lo, scale as f32])?;
+        b.push_f32("affine", &[2], &affine)?;
         let payload = b.finish();
         oasis_telemetry::counter!("wire.bytes_encoded").add(payload.len() as u64);
         Ok(EncodedUpdate {
@@ -497,7 +498,8 @@ impl UpdateCodec for SignCodec {
         };
         let mut b = WireBuilder::new();
         b.push("bits", Dtype::U8, &[bits.len()], &bits)?;
-        b.push_f32("mag", &[1], &[mag])?;
+        let mag = [mag];
+        b.push_f32("mag", &[1], &mag)?;
         let payload = b.finish();
         oasis_telemetry::counter!("wire.bytes_encoded").add(payload.len() as u64);
         Ok(EncodedUpdate {

@@ -205,7 +205,15 @@ fn extend_u32_le_bytes(out: &mut Vec<u8>, values: &[u32]) {
     }
 }
 
-/// Incrementally assembles a wire buffer (header + payload).
+/// Assembles a wire buffer (header + payload) in one allocation.
+///
+/// Each push validates its entry, records its header metadata and
+/// *borrows* its values; nothing is copied until
+/// [`WireBuilder::finish`], which allocates the frame once, at its
+/// exact length, and writes the header and then every payload into
+/// it — one copy per payload byte. The borrows tie the builder's
+/// lifetime to the pushed slices, so a value computed on the fly must
+/// be bound to a local before it is pushed.
 ///
 /// ```
 /// use oasis_wire::{Dtype, WireBuilder, WireView};
@@ -217,37 +225,55 @@ fn extend_u32_le_bytes(out: &mut Vec<u8>, values: &[u32]) {
 /// assert_eq!(view.tensor("update").unwrap().to_f32_vec().unwrap(), vec![1.0, -2.0, 0.5]);
 /// ```
 #[derive(Debug, Default)]
-pub struct WireBuilder {
+pub struct WireBuilder<'a> {
     tensors: Vec<TensorMeta>,
-    payload: Vec<u8>,
+    payloads: Vec<Payload<'a>>,
+    payload_len: usize,
 }
 
-impl WireBuilder {
+/// A pushed tensor's values, borrowed until [`WireBuilder::finish`]
+/// writes them little-endian into the frame.
+#[derive(Debug)]
+enum Payload<'a> {
+    Bytes(&'a [u8]),
+    F32(&'a [f32]),
+    U32(&'a [u32]),
+}
+
+impl Payload<'_> {
+    fn byte_len(&self) -> usize {
+        match *self {
+            Payload::Bytes(bytes) => bytes.len(),
+            Payload::F32(values) => values.len() * 4,
+            Payload::U32(values) => values.len() * 4,
+        }
+    }
+
+    fn write_le(&self, out: &mut Vec<u8>) {
+        match *self {
+            Payload::Bytes(bytes) => out.extend_from_slice(bytes),
+            Payload::F32(values) => extend_f32_le_bytes(out, values),
+            Payload::U32(values) => extend_u32_le_bytes(out, values),
+        }
+    }
+}
+
+impl<'a> WireBuilder<'a> {
     /// An empty builder.
     pub fn new() -> Self {
         WireBuilder::default()
     }
 
-    /// An empty builder with `payload_bytes` of payload capacity
-    /// pre-reserved — for encoders that know the frame size up front
-    /// (every codec does) and want one allocation, not a growth
-    /// sequence.
-    pub fn with_payload_capacity(payload_bytes: usize) -> Self {
-        WireBuilder {
-            tensors: Vec::new(),
-            payload: Vec::with_capacity(payload_bytes),
-        }
-    }
-
-    /// Validates a prospective entry (unique name, byte length
-    /// agreeing with `shape × dtype`) without touching the payload.
-    fn check_entry(
-        &self,
+    /// Validates an entry (unique name, byte length agreeing with
+    /// `shape × dtype`) and records it with its payload extent.
+    fn add(
+        &mut self,
         name: &str,
         dtype: Dtype,
         shape: &[usize],
-        byte_len: usize,
-    ) -> Result<(), WireError> {
+        payload: Payload<'a>,
+    ) -> Result<&mut Self, WireError> {
+        let byte_len = payload.byte_len();
         if self.tensors.iter().any(|t| t.name == name) {
             return Err(WireError::Header(format!("duplicate tensor name `{name}`")));
         }
@@ -265,16 +291,16 @@ impl WireBuilder {
                 dtype.as_str(),
             )));
         }
-        Ok(())
-    }
-
-    fn record_entry(&mut self, name: &str, dtype: Dtype, shape: &[usize], start: usize) {
+        let start = self.payload_len;
+        self.payload_len += byte_len;
         self.tensors.push(TensorMeta {
             name: name.to_owned(),
             dtype,
             shape: shape.to_vec(),
-            offsets: (start, self.payload.len()),
+            offsets: (start, self.payload_len),
         });
+        self.payloads.push(payload);
+        Ok(self)
     }
 
     /// Appends a tensor of raw `bytes` with the given dtype and shape.
@@ -288,17 +314,13 @@ impl WireBuilder {
         name: &str,
         dtype: Dtype,
         shape: &[usize],
-        bytes: &[u8],
+        bytes: &'a [u8],
     ) -> Result<&mut Self, WireError> {
-        self.check_entry(name, dtype, shape, bytes.len())?;
-        let start = self.payload.len();
-        self.payload.extend_from_slice(bytes);
-        self.record_entry(name, dtype, shape, start);
-        Ok(self)
+        self.add(name, dtype, shape, Payload::Bytes(bytes))
     }
 
-    /// Appends an `f32` tensor, encoding little-endian straight into
-    /// the payload (no intermediate byte buffer).
+    /// Appends an `f32` tensor; [`WireBuilder::finish`] encodes it
+    /// little-endian straight into the frame.
     ///
     /// # Errors
     ///
@@ -307,17 +329,13 @@ impl WireBuilder {
         &mut self,
         name: &str,
         shape: &[usize],
-        values: &[f32],
+        values: &'a [f32],
     ) -> Result<&mut Self, WireError> {
-        self.check_entry(name, Dtype::F32, shape, values.len() * 4)?;
-        let start = self.payload.len();
-        extend_f32_le_bytes(&mut self.payload, values);
-        self.record_entry(name, Dtype::F32, shape, start);
-        Ok(self)
+        self.add(name, Dtype::F32, shape, Payload::F32(values))
     }
 
-    /// Appends a `u32` tensor, encoding little-endian straight into
-    /// the payload (no intermediate byte buffer).
+    /// Appends a `u32` tensor; [`WireBuilder::finish`] encodes it
+    /// little-endian straight into the frame.
     ///
     /// # Errors
     ///
@@ -326,28 +344,29 @@ impl WireBuilder {
         &mut self,
         name: &str,
         shape: &[usize],
-        values: &[u32],
+        values: &'a [u32],
     ) -> Result<&mut Self, WireError> {
-        self.check_entry(name, Dtype::U32, shape, values.len() * 4)?;
-        let start = self.payload.len();
-        extend_u32_le_bytes(&mut self.payload, values);
-        self.record_entry(name, Dtype::U32, shape, start);
-        Ok(self)
+        self.add(name, Dtype::U32, shape, Payload::U32(values))
     }
 
-    /// Serializes the header + payload into the final buffer. The
-    /// JSON header is space-padded to a [`PAYLOAD_ALIGN`]ed length so
-    /// the payload's buffer offset supports the borrowed-`&[f32]`
-    /// decode path (trailing whitespace is valid JSON, so old readers
-    /// parse padded headers unchanged).
+    /// Writes the frame: one allocation of exactly
+    /// `8 + header + payload` bytes, the length prefix, the JSON
+    /// header space-padded to a [`PAYLOAD_ALIGN`]ed length (so the
+    /// payload's buffer offset supports the borrowed-`&[f32]` decode
+    /// path; trailing whitespace is valid JSON, so old readers parse
+    /// padded headers unchanged), then each pushed payload, copied
+    /// once.
     pub fn finish(self) -> Vec<u8> {
         let json = header_json(self.tensors);
         let header_len = padded_header_len(json.len());
-        let mut out = Vec::with_capacity(8 + header_len + self.payload.len());
+        let mut out = Vec::with_capacity(8 + header_len + self.payload_len);
         out.extend_from_slice(&(header_len as u64).to_le_bytes());
         out.extend_from_slice(json.as_bytes());
         out.resize(8 + header_len, b' ');
-        out.extend_from_slice(&self.payload);
+        for payload in &self.payloads {
+            payload.write_le(&mut out);
+        }
+        debug_assert_eq!(out.len(), out.capacity(), "frame sized exactly");
         out
     }
 }
