@@ -75,7 +75,7 @@ pub fn train_linear_with_dp(
                 model.zero_grad();
                 let logits = model.forward(&xi, Mode::Train)?;
                 let out = softmax_cross_entropy(&logits, &batch.labels[i..i + 1])?;
-                model.backward(&out.grad)?;
+                model.backward_params(&out.grad)?;
                 let g = oasis_nn::flatten_grads(&mut model);
                 let norm = g.iter().map(|v| v * v).sum::<f32>().sqrt();
                 let scale = if norm > config.clip_norm {

@@ -235,7 +235,7 @@ fn run_attack_inner(
             model.zero_grad();
             let logits = model.forward(&x, Mode::Train)?;
             let out = softmax_cross_entropy(&logits, &processed.labels)?;
-            model.backward(&out.grad)?;
+            model.backward_params(&out.grad)?;
             let mut update = flatten_grads(&mut model);
             defense.perturb_update(&mut update, processed.len(), &mut rng);
             let received = transmit(update)?;
@@ -264,7 +264,7 @@ fn run_attack_inner(
                 model.zero_grad();
                 let logits = model.forward(&xi, Mode::Train)?;
                 let out = softmax_cross_entropy(&logits, &processed.labels[i..i + 1])?;
-                model.backward(&out.grad)?;
+                model.backward_params(&out.grad)?;
                 total_loss += out.loss;
                 let lin = malicious_layer(&model)?;
                 // Clip the whole per-sample gradient (all layers would

@@ -137,20 +137,33 @@ impl FlClient {
         round_seed: u64,
     ) -> Result<ClientUpdate> {
         let mut rng = self.round_rng(round_seed);
+        let defense_span = oasis_telemetry::span("fl.client.defense");
         let batch = self
             .data
             .sample_batch(batch_size.min(self.data.len()), &mut rng);
         let processed = self.defense.process_batch(&batch, &mut rng);
+        drop(defense_span);
         load_params(model, global_params)?;
         model.zero_grad();
+        let forward_span = oasis_telemetry::span("fl.client.forward");
         let x = processed.to_matrix();
         let logits = model.forward(&x, Mode::Train)?;
         let loss = softmax_cross_entropy(&logits, &processed.labels)?;
-        model.backward(&loss.grad)?;
+        drop(forward_span);
+        // The client uploads parameter gradients only: ∂L/∂x of the
+        // first layer is never formed.
+        let backward_span = oasis_telemetry::span("fl.client.backward");
+        model.backward_params(&loss.grad)?;
+        drop(backward_span);
+        let flatten_span = oasis_telemetry::span("fl.client.flatten");
         let mut grads = flatten_grads(model);
+        drop(flatten_span);
+        // The update stages are defense work too, and share its span.
+        let defense_span = oasis_telemetry::span("fl.client.defense");
         self.defense.clip_update(&mut grads);
         self.defense
             .perturb_update(&mut grads, processed.len(), &mut rng);
+        drop(defense_span);
         Ok(ClientUpdate {
             client_id: self.id,
             grads,

@@ -173,7 +173,7 @@ pub fn train_centralized(
             model.zero_grad();
             let logits = model.forward(&x, Mode::Train)?;
             let out = softmax_cross_entropy(&logits, &processed.labels)?;
-            model.backward(&out.grad)?;
+            model.backward_params(&out.grad)?;
             optimizer.step(model);
             losses.push(out.loss);
         }

@@ -24,6 +24,9 @@ pub enum Mode {
 /// 2. `backward(δy)` **accumulates** parameter gradients (they are not
 ///    overwritten — call [`Layer::zero_grad`] between steps) and
 ///    returns `δx`.
+///    2b. A caller that discards `δx` — every training step's call on
+///    the whole model — calls [`Layer::backward_params`] instead: the
+///    same parameter gradients, without forming `δx`.
 /// 3. [`Layer::visit_params`] yields `(param, grad)` pairs in a stable
 ///    order; optimizers and the FL protocol rely on that order.
 pub trait Layer: Send {
@@ -42,6 +45,19 @@ pub trait Layer: Send {
     /// Returns an error if called before `forward` or on shape
     /// mismatch.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor>;
+
+    /// Backpropagates `grad_output` into the parameter gradients only:
+    /// accumulates exactly what [`Layer::backward`] accumulates, bit
+    /// for bit, but never forms the input gradient. Layers whose input
+    /// gradient is a separate product (`Linear`'s `δ·W`) override it
+    /// to skip that work.
+    ///
+    /// # Errors
+    ///
+    /// The same as [`Layer::backward`].
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.backward(grad_output).map(drop)
+    }
 
     /// Visits every `(parameter, gradient)` pair in a stable order.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor));

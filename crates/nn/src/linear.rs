@@ -122,6 +122,12 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+        self.backward_params(grad_output)?;
+        // ∂L/∂x = δ · W
+        Ok(grad_output.matmul(&self.weight)?)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
         let input = self
             .cached_input
             .as_ref()
@@ -132,8 +138,7 @@ impl Layer for Linear {
         grad_output.matmul_tn_acc(input, &mut self.grad_weight)?;
         // ∂L/∂b = Σ_batch δ
         self.grad_bias.add_assign(&grad_output.sum_axis0()?)?;
-        // ∂L/∂x = δ · W
-        Ok(grad_output.matmul(&self.weight)?)
+        Ok(())
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {

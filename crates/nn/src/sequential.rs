@@ -83,6 +83,20 @@ impl Layer for Sequential {
         Ok(g)
     }
 
+    /// Runs `backward` on layers `n−1 … 1` and `backward_params` on
+    /// layer 0: the input gradient of the first layer is the one
+    /// value nobody reads. A nested first block recurses the same way.
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
+        let mut g: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_output))?);
+        }
+        first.backward_params(g.as_ref().unwrap_or(grad_output))
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
         for layer in &mut self.layers {
             layer.visit_params(f);
@@ -126,6 +140,7 @@ mod tests {
     use super::*;
     use crate::{Linear, Relu};
     use rand::{rngs::StdRng, SeedableRng};
+    use std::sync::{Arc, Mutex};
 
     fn mlp(rng: &mut StdRng) -> Sequential {
         let mut s = Sequential::new();
@@ -171,6 +186,101 @@ mod tests {
         let mut m = mlp(&mut rng);
         let n = crate::param_count(&mut m);
         assert_eq!(n, (4 * 8 + 8) + (8 * 3 + 3));
+    }
+
+    type Log = Arc<Mutex<Vec<String>>>;
+
+    /// A pass-through layer that logs which backward entry point ran.
+    struct Spy {
+        tag: &'static str,
+        log: Log,
+    }
+
+    impl Spy {
+        fn record(&self, call: &str) {
+            self.log
+                .lock()
+                .unwrap()
+                .push(format!("{}.{call}", self.tag));
+        }
+    }
+
+    impl Layer for Spy {
+        fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor> {
+            Ok(input.clone())
+        }
+
+        fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+            self.record("backward");
+            Ok(grad_output.clone())
+        }
+
+        fn backward_params(&mut self, _grad_output: &Tensor) -> Result<()> {
+            self.record("backward_params");
+            Ok(())
+        }
+
+        fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
+
+        fn visit_params_ref(&self, _f: &mut dyn FnMut(&Tensor)) {}
+
+        fn name(&self) -> &'static str {
+            "spy"
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    fn spies(tags: &[&'static str], log: &Log) -> Sequential {
+        let mut s = Sequential::new();
+        for &tag in tags {
+            s.push(Spy {
+                tag,
+                log: Arc::clone(log),
+            });
+        }
+        s
+    }
+
+    fn run_backward_params(model: &mut Sequential, log: &Log) -> Vec<String> {
+        let x = Tensor::ones(&[2, 3]);
+        let y = model.forward(&x, Mode::Train).unwrap();
+        model.backward_params(&y).unwrap();
+        std::mem::take(&mut *log.lock().unwrap())
+    }
+
+    #[test]
+    fn backward_params_skips_only_the_first_layers_input_gradient() {
+        let log = Log::default();
+        let mut m = spies(&["a", "b", "c"], &log);
+        assert_eq!(
+            run_backward_params(&mut m, &log),
+            ["c.backward", "b.backward", "a.backward_params"]
+        );
+    }
+
+    #[test]
+    fn backward_params_recurses_into_a_nested_first_block() {
+        let log = Log::default();
+        let mut m = Sequential::new();
+        m.push(spies(&["a", "b"], &log));
+        m.push(spies(&["c"], &log));
+        assert_eq!(
+            run_backward_params(&mut m, &log),
+            ["c.backward", "b.backward", "a.backward_params"]
+        );
+    }
+
+    #[test]
+    fn backward_params_on_an_empty_stack_is_a_noop() {
+        let mut m = Sequential::new();
+        assert!(m.backward_params(&Tensor::ones(&[2, 3])).is_ok());
     }
 
     #[test]

@@ -299,6 +299,13 @@ impl UpdateCodec for RawCodec {
     }
 }
 
+/// Whether every value of `update` is finite. A branch-free fold
+/// rather than a short-circuiting `any`: LLVM vectorizes it, and the
+/// lossy encoders scan every update for the rare non-finite value.
+fn all_finite(update: &[f32]) -> bool {
+    update.iter().fold(true, |ok, v| ok & v.is_finite())
+}
+
 // ---------------------------------------------------------------------
 // q8
 // ---------------------------------------------------------------------
@@ -317,7 +324,7 @@ impl UpdateCodec for Q8Codec {
 
     fn encode(&self, update: &[f32]) -> Result<EncodedUpdate, WireError> {
         let _span = oasis_telemetry::span("wire.encode.q8");
-        if update.iter().any(|v| !v.is_finite()) {
+        if !all_finite(update) {
             return Err(WireError::Codec("q8 requires finite values".into()));
         }
         let (mut lo, mut hi) = oasis_tensor::simd::minmax(update);
@@ -483,7 +490,7 @@ impl UpdateCodec for SignCodec {
 
     fn encode(&self, update: &[f32]) -> Result<EncodedUpdate, WireError> {
         let _span = oasis_telemetry::span("wire.encode.sign");
-        if update.iter().any(|v| !v.is_finite()) {
+        if !all_finite(update) {
             return Err(WireError::Codec("sign requires finite values".into()));
         }
         let mut bits = vec![0u8; update.len().div_ceil(8)];
@@ -593,6 +600,29 @@ mod tests {
         let back = Q8Codec.decode(&Q8Codec.encode(&x).unwrap()).unwrap();
         assert!(back.iter().all(|v| v.is_finite()), "{back:?}");
         assert!(back[0] > back[2] && back[2] > back[1], "{back:?}");
+    }
+
+    #[test]
+    fn lossy_codecs_reject_a_non_finite_value_anywhere() {
+        // Long enough that the pre-scan's vector body and its scalar
+        // tail both see a bad value.
+        let n = 1003;
+        let codecs: [(&dyn UpdateCodec, &str); 2] = [
+            (&Q8Codec, "q8 requires finite values"),
+            (&SignCodec, "sign requires finite values"),
+        ];
+        for (codec, msg) in codecs {
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                for at in [0, n / 2, n - 1] {
+                    let mut x: Vec<f32> = (0..n).map(|i| (i as f32).sin()).collect();
+                    x[at] = bad;
+                    match codec.encode(&x) {
+                        Err(WireError::Codec(m)) => assert_eq!(m, msg),
+                        other => panic!("{bad} at {at}: {other:?}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]
