@@ -18,7 +18,9 @@
 //! cargo run --release -p oasis-bench --bin fig_trajectory -- [--quick | --full]
 //! ```
 
-use oasis_bench::{banner, out_path, run_campaign, CampaignSpec, DefenseSpec, Scale, Workload};
+use oasis_bench::{
+    banner, out_path, run_campaign, CampaignSpec, CodecSpec, DefenseSpec, Scale, Workload,
+};
 
 fn main() {
     let scale = Scale::from_args();
@@ -63,6 +65,7 @@ fn main() {
             spec.clone(),
             defense.clone(),
             Workload::ImageNette,
+            CodecSpec::Raw,
             scale,
             clients,
             seed,

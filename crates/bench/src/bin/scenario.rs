@@ -59,7 +59,11 @@ FLAGS (comma-separated lists sweep the grid):
                         single-shot trials: campaign:PHASE[;PHASE...],
                         each phase ROUNDS[+join=F][+leave=F][+alpha=A]
                         [+net=SPEC][+attack=S[|S...]]; one campaign
-                        per --defense, trajectory JSONL under out/
+                        per --defense, trajectory JSONL under out/.
+                        Reads one --workload, one --codec, one
+                        --population (client count), --seed, --scale
+                        and --eval-every; any other experiment flag
+                        is an error (the spec sets nets and attacks)
     --eval-every N      campaign adversary probe period (0 = never)
                                                           [default: 5]
     --no-save           print reports without writing out/*.json
@@ -259,17 +263,17 @@ fn finish_trace(args: &Args) -> u32 {
 }
 
 /// The `--campaign` mode: one campaign per `--defense` over the
-/// first `--workload`, each printing a per-phase summary and writing
-/// its trajectory JSONL under `out/`. Returns how many campaigns
-/// failed.
+/// `--workload` and `--codec`, each printing a per-phase summary and
+/// writing its trajectory JSONL under `out/`. Returns how many
+/// campaigns failed.
 fn run_campaign_mode(args: &Args, spec: CampaignSpec) -> u32 {
-    let workload = args.workloads[0];
+    let (workload, codec) = (args.workloads[0], args.codecs[0]);
     let clients = match args.populations.first() {
         Some(&n) if n > 0 => n,
         _ => 24,
     };
     println!(
-        "campaign {spec} — {} clients on {workload}, probe every {} round(s)",
+        "campaign {spec} — {} clients on {workload} over {codec}, probe every {} round(s)",
         clients, args.eval_every
     );
     let mut failures = 0u32;
@@ -278,6 +282,7 @@ fn run_campaign_mode(args: &Args, spec: CampaignSpec) -> u32 {
             spec.clone(),
             defense.clone(),
             workload,
+            codec,
             args.scale,
             clients,
             args.seed,
@@ -414,8 +419,10 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
         campaign: None,
         eval_every: 5,
     };
+    let mut given = Vec::new();
     let mut it = raw.iter();
     while let Some(flag) = it.next() {
+        given.push(flag.as_str());
         let mut value = |name: &str| {
             it.next()
                 .map(String::as_str)
@@ -467,7 +474,45 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
+    if args.campaign.is_some() {
+        check_campaign_flags(&args, &given)?;
+    }
     Ok(args)
+}
+
+/// Flags of the trial sweep that a `--campaign` run never reads: the
+/// spec's phases choose nets and attacks, and the campaign engine
+/// fixes batch, cohort and probe settings.
+const SWEEP_ONLY_FLAGS: [&str; 9] = [
+    "--attack",
+    "--net",
+    "--batch",
+    "--sample",
+    "--trials",
+    "--dataset-seed",
+    "--calibration",
+    "--sampling",
+    "--leak-db",
+];
+
+/// Rejects what `--campaign` mode would otherwise silently ignore: a
+/// sweep-only flag, or a second value for a flag it reads once.
+fn check_campaign_flags(args: &Args, given: &[&str]) -> Result<(), String> {
+    if let Some(flag) = given.iter().find(|f| SWEEP_ONLY_FLAGS.contains(f)) {
+        return Err(format!("{flag} is not read by --campaign; remove it"));
+    }
+    for (flag, values) in [
+        ("--workload", args.workloads.len()),
+        ("--codec", args.codecs.len()),
+        ("--population", args.populations.len()),
+    ] {
+        if values > 1 {
+            return Err(format!(
+                "{flag} takes one value with --campaign, got {values}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Parses one value, mapping the error to a CLI message.
@@ -563,6 +608,48 @@ mod tests {
         assert_eq!(a.defenses.len(), 3);
         assert_eq!(a.attacks.len(), 2);
         assert_eq!(a.batches, vec![4, 8]);
+    }
+
+    #[test]
+    fn campaign_mode_reads_one_codec() {
+        let a = args("--campaign campaign:3 --codec q8 --workload cifar100 --population 12");
+        assert_eq!(a.codecs, vec![CodecSpec::Q8]);
+        assert_eq!(a.workloads, vec![WorkloadSpec::Cifar100]);
+        assert_eq!(a.populations, vec![12]);
+    }
+
+    #[test]
+    fn campaign_mode_rejects_flags_it_would_ignore() {
+        for (flag, value) in [
+            ("--attack", "rtf:8"),
+            ("--net", "ideal"),
+            ("--batch", "4"),
+            ("--sample", "8"),
+            ("--trials", "2"),
+            ("--dataset-seed", "1"),
+            ("--calibration", "16"),
+            ("--sampling", "uniform"),
+            ("--leak-db", "50"),
+            ("--workload", "imagenette,cifar100"),
+            ("--codec", "raw,q8"),
+            ("--population", "8,16"),
+        ] {
+            // The flag is caught whether it comes before or after
+            // `--campaign`.
+            for raw in [
+                ["--campaign", "campaign:3", flag, value],
+                [flag, value, "--campaign", "campaign:3"],
+            ] {
+                let raw: Vec<String> = raw.map(String::from).to_vec();
+                let err = match parse_args(&raw) {
+                    Ok(_) => panic!("{raw:?} should not parse"),
+                    Err(e) => e,
+                };
+                assert!(err.contains(flag), "{raw:?}: {err}");
+            }
+            // The same flag is fine in sweep mode.
+            args(&format!("{flag} {value}"));
+        }
     }
 
     #[test]

@@ -25,7 +25,6 @@ pub mod perf;
 
 use oasis_augment::PolicyKind;
 use oasis_data::Batch;
-use oasis_fl::DefenseStack;
 use oasis_image::Image;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,7 +61,8 @@ pub fn calibration_images(workload: Workload, scale: Scale, count: usize) -> Vec
 
 /// Builds and runs one campaign of `spec` under `defense`: the
 /// workload's dataset at `scale`, `clients` clients over the shared
-/// linear-ReLU model, adversary probed every `eval_every` rounds.
+/// linear-ReLU model uploading through `codec`, adversary probed every
+/// `eval_every` rounds.
 /// Returns the finished runner (trajectory records, adversary log,
 /// final server state). Shared by the `scenario --campaign` mode and
 /// `fig_trajectory`.
@@ -70,10 +70,12 @@ pub fn calibration_images(workload: Workload, scale: Scale, count: usize) -> Vec
 /// # Errors
 ///
 /// Propagates setup and round failures from the campaign engine.
+#[allow(clippy::too_many_arguments)]
 pub fn run_campaign(
     spec: CampaignSpec,
     defense: DefenseSpec,
     workload: Workload,
+    codec: CodecSpec,
     scale: Scale,
     clients: usize,
     seed: u64,
@@ -84,43 +86,13 @@ pub fn run_campaign(
     let classes = dataset.num_classes();
     let mut setup = CampaignSetup::new(dataset, clients, linear_relu_factory(d, 64, classes, 11));
     setup.defense = defense;
+    setup.codec = codec;
     setup.seed = seed;
     setup.partition_seed = seed ^ 0x5EED;
     setup.eval_every = eval_every;
     let mut runner = CampaignRunner::new(spec, setup)?;
     runner.run()?;
     Ok(runner)
-}
-
-/// Runs `attack` against `trials` batches of size `batch_size` under
-/// `defense`, pooling all matched PSNRs.
-///
-/// Retained for bespoke experiments (e.g. sweeping a calibrated
-/// attack object that is expensive to rebuild); figure binaries use
-/// [`Scenario`] instead.
-pub fn pooled_attack_psnrs(
-    attack: &dyn ActiveAttack,
-    dataset: &oasis_data::Dataset,
-    batch_size: usize,
-    defense: &DefenseStack,
-    trials: usize,
-    seed: u64,
-) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut pooled = Vec::new();
-    for trial in 0..trials {
-        let batch = dataset.sample_batch(batch_size.min(dataset.len()), &mut rng);
-        let outcome = run_attack(
-            attack,
-            &batch,
-            defense,
-            dataset.num_classes(),
-            seed ^ trial as u64,
-        )
-        .expect("attack execution");
-        pooled.extend(outcome.matched_psnrs);
-    }
-    pooled
 }
 
 /// The shared Figure 3/4 grid loop: one [`Scenario`] per

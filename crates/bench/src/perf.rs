@@ -169,6 +169,10 @@ pub fn core_suite() -> Vec<BenchDef> {
             build: bench_matmul_nt_rtf512,
         },
         BenchDef {
+            name: "matmul_nt_campaign",
+            build: bench_matmul_nt_campaign,
+        },
+        BenchDef {
             name: "matmul_tn_rtf512",
             build: bench_matmul_tn_rtf512,
         },
@@ -400,18 +404,24 @@ pub fn apply_filter(benches: Vec<BenchDef>, filter: &str) -> Vec<BenchDef> {
 // Runner
 // ---------------------------------------------------------------------
 
+/// Fewest timed iterations behind any record, however slow the bench:
+/// enough that the median is the middle of a real sample, not of
+/// three points.
+pub const MIN_ITERS: u64 = 11;
+
 /// Self-calibrates the iteration count and times `prepared`.
 ///
 /// One warmup iteration estimates the per-iter cost; the measured
-/// loop then sizes itself to roughly the time budget (`--quick`
-/// shrinks the budget, never the workload shapes, so medians stay
-/// comparable across modes — just noisier).
+/// loop then sizes itself to roughly the time budget, but never
+/// below [`MIN_ITERS`] (`--quick` shrinks the budget, never the
+/// workload shapes, so medians stay comparable across modes — just
+/// noisier).
 pub fn run_prepared(name: &str, mut prepared: PreparedBench, quick: bool) -> BenchRecord {
     let budget_ns: u128 = if quick { 60_000_000 } else { 400_000_000 };
     let warmup = Instant::now();
     (prepared.run)();
     let est = warmup.elapsed().as_nanos().max(1);
-    let iters = (budget_ns / est).clamp(3, 1000) as u64;
+    let iters = (budget_ns / est).clamp(u128::from(MIN_ITERS), 1000) as u64;
     let mut samples = Vec::with_capacity(iters as usize);
     for _ in 0..iters {
         let t = Instant::now();
@@ -695,6 +705,21 @@ fn bench_matmul_nt_rtf512() -> PreparedBench {
     let (m, k, n) = RTF512;
     let x = seeded_tensor(&[m, k], 24);
     let w = seeded_tensor(&[n, k], 25);
+    PreparedBench {
+        throughput: Some((matmul_flops(m, k, n), "flop/s")),
+        run: Box::new(move || {
+            std::hint::black_box(x.matmul_nt(&w).expect("bench matmul_nt"));
+        }),
+    }
+}
+
+/// The campaign client step's first layer, `x · Wᵀ`: a B=8 batch of
+/// flattened 3×32×32 images against the 64×3072 weight (786 KB) that
+/// every batch row reuses.
+fn bench_matmul_nt_campaign() -> PreparedBench {
+    let (m, k, n) = (8, 3 * 32 * 32, 64);
+    let x = seeded_tensor(&[m, k], 30);
+    let w = seeded_tensor(&[n, k], 31);
     PreparedBench {
         throughput: Some((matmul_flops(m, k, n), "flop/s")),
         run: Box::new(move || {
@@ -1362,6 +1387,7 @@ mod tests {
                 "matmul_tn_conv_gx",
                 "matmul_nt_linear",
                 "matmul_nt_rtf512",
+                "matmul_nt_campaign",
                 "matmul_tn_rtf512",
                 "matmul_rtf512_gx",
                 "conv2d_forward_b8",
@@ -1640,7 +1666,7 @@ mod tests {
         };
         let rec = run_prepared("tiny", prepared, true);
         assert_eq!(rec.name, "tiny");
-        assert!(rec.iters >= 3);
+        assert!(rec.iters >= MIN_ITERS);
         assert!(rec.min_ns <= rec.median_ns);
         assert!(rec.throughput.unwrap() > 0.0);
         assert_eq!(rec.throughput_unit.as_deref(), Some("item/s"));

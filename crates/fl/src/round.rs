@@ -94,11 +94,10 @@ impl FlServer {
     /// [`FlServer::run_round`] and `oasis_population::CohortRunner`
     /// are thin callers of this loop.
     ///
-    /// The round proceeds: sample cohort → tamper (if dishonest) and
-    /// broadcast → **delivery plan** (every codec's wire size is
-    /// value-independent, so each cohort member's fate is decided
-    /// before any gradient exists) → closed-form pre-pass summing the
-    /// delivered clients' sample counts
+    /// The round proceeds: sample cohort → broadcast → **delivery
+    /// plan** (every codec's wire size is value-independent, so each
+    /// cohort member's fate is decided before any gradient exists) →
+    /// closed-form pre-pass summing the delivered clients' sample counts
     /// ([`ClientSource::round_samples`]) → wave-parallel
     /// hydrate/train/encode of **delivered clients only**, each lane
     /// training on its own resident model slot → serial

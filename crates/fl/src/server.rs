@@ -103,16 +103,14 @@ impl PartialEq for RoundReport {
     }
 }
 
-/// The FL coordinator of paper Eq. 1, with an optional dishonest
-/// tamper hook. Updates travel through a [`WireConfig`]: encoded by
-/// an [`UpdateCodec`], moved by a simulated [`NetSpec`] transport,
-/// and only the updates that actually arrive are aggregated —
-/// weighted by the examples each client contributed.
+/// The FL coordinator of paper Eq. 1. Updates travel through a
+/// [`WireConfig`]: encoded by an [`UpdateCodec`], moved by a simulated
+/// [`NetSpec`] transport, and only the updates that actually arrive
+/// are aggregated — weighted by the examples each client contributed.
 pub struct FlServer {
     factory: ModelFactory,
     model: Sequential,
     config: FlConfig,
-    tamper: Option<Box<dyn crate::ModelTamper>>,
     wire: WireConfig,
     round: usize,
     // Resident client models, one per wave lane, built lazily by the
@@ -137,17 +135,10 @@ impl FlServer {
             factory,
             model,
             config,
-            tamper: None,
             wire: WireConfig::default(),
             round: 0,
             slots: Vec::new(),
         })
-    }
-
-    /// Installs a dishonest-server behaviour (e.g. an active
-    /// reconstruction attack).
-    pub fn set_tamper(&mut self, tamper: Box<dyn crate::ModelTamper>) {
-        self.tamper = Some(tamper);
     }
 
     /// Replaces the wire (codec + simulated network) the rounds run
@@ -232,12 +223,8 @@ impl FlServer {
         Ok(())
     }
 
-    /// The flattened global weights `w_t` as broadcast this round
-    /// (after tampering, if a tamper hook is installed).
+    /// The flattened global weights `w_t` as broadcast this round.
     pub fn broadcast_weights(&mut self) -> Vec<f32> {
-        if let Some(t) = &self.tamper {
-            t.tamper(&mut self.model, self.round);
-        }
         flatten_params(&mut self.model)
     }
 
@@ -304,13 +291,7 @@ impl FlServer {
 
 impl std::fmt::Debug for FlServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "FlServer(round={}, tamper={}, wire={:?})",
-            self.round,
-            self.tamper.as_ref().map(|t| t.name()).unwrap_or("none"),
-            self.wire,
-        )
+        write!(f, "FlServer(round={}, wire={:?})", self.round, self.wire)
     }
 }
 

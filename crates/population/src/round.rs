@@ -63,11 +63,6 @@ impl CohortRunner {
         self.population = population;
     }
 
-    /// Releases the server (e.g. to checkpoint the trained model).
-    pub fn into_server(self) -> FlServer {
-        self.server
-    }
-
     /// Runs one population round off an explicit rng. Driving this
     /// with one sequential `StdRng::seed_from_u64(seed)` across
     /// rounds is the rng stream [`FlServer::run`] uses.

@@ -1,7 +1,8 @@
 //! Dense matrix multiplication with L2-tiled loop orders.
 //!
-//! The inner kernels — the eight-lane unrolled dot product and the
-//! register-blocked `axpy4`/`axpy4x2` row updates — live in
+//! The inner kernels — the eight-lane unrolled dot product, its
+//! register-blocked `dot2x4`/`dot1x4` forms and the register-blocked
+//! `axpy4`/`axpy4x2` row updates — live in
 //! [`crate::simd`] and dispatch to the best available instruction set
 //! at runtime; this module contributes the loop nests, the zero-block
 //! skips, and the row partitioning.
@@ -20,17 +21,28 @@
 //!
 //! ## Reduction order
 //!
-//! Tiling reorders *which element* is worked on next, never the
-//! operations applied to one element. Every output element keeps one
-//! fixed sequence: for the axpy products, the 4-blocks of the
-//! reduction axis in ascending order (a block whose four left-hand
-//! coefficients are all zero is skipped), then the leftover `k % 4`
-//! steps in ascending order (zero coefficients skipped); for
-//! [`Tensor::matmul_nt`], one [`simd::dot`] over the whole row pair.
-//! That sequence depends neither on the tile size nor on the parallel
-//! row partition, so every product is bit-identical at any thread
-//! count and any tile size (`crates/tensor/tests/properties.rs` checks
-//! it against a naive per-element reference).
+//! Tiling and register blocking reorder *which element* is worked on
+//! next, never the operations applied to one element. Every output
+//! element keeps one fixed sequence. For the axpy products it is the
+//! 4-blocks of the reduction axis in ascending order (a block whose
+//! four left-hand coefficients are all zero is skipped), then the
+//! leftover `k % 4` steps in ascending order (zero coefficients
+//! skipped).
+//!
+//! For [`Tensor::matmul_nt`]'s long-reduction path it is one
+//! [`simd::dot`] chain over the whole row pair. The kernel computes
+//! the output in 2×4 blocks — two left rows against four right rows
+//! through `simd::dot2x4`, a tile's odd last row through
+//! `simd::dot1x4`, the `n % 4` leftover columns through `simd::dot` —
+//! but each of a block's eight elements has its own accumulator and
+//! runs `dot`'s exact chain: mul then add per eight-lane chunk, the
+//! fixed lane fold, the sequential tail.
+//!
+//! Neither sequence depends on the tile size, the block position or
+//! the parallel row partition, so every product is bit-identical at
+//! any thread count and any tile size (`crates/tensor/tests/
+//! properties.rs` and `simd_parity.rs` check it against a naive
+//! per-element reference).
 
 use crate::{parallel, simd, Result, Tensor, TensorError};
 
@@ -135,6 +147,34 @@ fn axpy_tile(
             for (o, &bv) in orow.iter_mut().zip(brow) {
                 *o += c * bv;
             }
+        }
+    }
+}
+
+/// One tile of [`Tensor::matmul_nt`]'s dot path: `out` holds the
+/// output rows of the left-hand rows `a` (each `k` long) against the
+/// `n×k` right-hand matrix `b`. The 4-blocks of `b`'s rows are the
+/// outer loop, so each is read once per tile; left rows go in pairs
+/// through `dot2x4`, a tile's odd last row through `dot1x4`, and the
+/// `n % 4` leftover columns through `dot`. All three compute each
+/// element as the same one `dot` chain.
+fn dot_tile(a: &[f32], b: &[f32], (k, n): (usize, usize), out: &mut [f32]) {
+    let blocks = n / 4 * 4;
+    for j in (0..blocks).step_by(4) {
+        let b4 = rows4(b, j, k);
+        for (pair, a2) in out.chunks_mut(2 * n).zip(a.chunks(2 * k)) {
+            if a2.len() < 2 * k {
+                pair[j..j + 4].copy_from_slice(&simd::dot1x4(a2, b4));
+                continue;
+            }
+            let [r0, r1] = simd::dot2x4([&a2[..k], &a2[k..]], b4);
+            pair[j..j + 4].copy_from_slice(&r0);
+            pair[n + j..n + j + 4].copy_from_slice(&r1);
+        }
+    }
+    for (j, brow) in b.chunks_exact(k).enumerate().skip(blocks) {
+        for (orow, arow) in out.chunks_mut(n).zip(a.chunks_exact(k)) {
+            orow[j] = simd::dot(arow, brow);
         }
     }
 }
@@ -248,10 +288,11 @@ impl Tensor {
     /// `self` is `(m×k)`, `other` is `(n×k)`, result is `(m×n)`. This is
     /// the shape needed for input gradients (`δ · Wᵀ` with `W: n×k`)
     /// and for `Linear`'s forward pass. With a long reduction axis,
-    /// each output element is one [`simd::dot`]; tiles hold 256 KiB
-    /// of `self`'s rows, and inside one the rows of
-    /// `other` are the outer loop, so `other` is streamed once per
-    /// tile instead of once per row.
+    /// each output element is one [`simd::dot`] chain. Tiles hold
+    /// 256 KiB of `self`'s rows; inside one, the 4-blocks of
+    /// `other`'s rows are the outer loop, so `other` is streamed once
+    /// per tile instead of once per row, and each row pair of the
+    /// tile takes one register-blocked `dot2x4` pass over the block.
     ///
     /// # Errors
     ///
@@ -283,12 +324,12 @@ impl Tensor {
         for_each_rows(out.data_mut(), (m, k, n), |row0, rows| {
             for (t, tile_out) in rows.chunks_mut(tile * n).enumerate() {
                 let i0 = row0 + t * tile;
-                let a_tile = &a[i0 * k..(i0 + tile_out.len() / n) * k];
-                for (j, brow) in b.chunks_exact(k).enumerate() {
-                    for (orow, arow) in tile_out.chunks_mut(n).zip(a_tile.chunks_exact(k)) {
-                        orow[j] = simd::dot(arow, brow);
-                    }
-                }
+                dot_tile(
+                    &a[i0 * k..(i0 + tile_out.len() / n) * k],
+                    b,
+                    (k, n),
+                    tile_out,
+                );
             }
         });
         Ok(out)

@@ -9,6 +9,14 @@
 //! bit-identity; if a kernel here is ever "optimized" with FMA or a
 //! horizontal-add shuffle, that suite is the tripwire.
 //!
+//! The dot family shows how register blocking keeps that contract.
+//! [`dot`] is one accumulator, so its speed is bound by the latency
+//! of the add it waits on each chunk. [`dot2x4`] (and [`dot1x4`] for a
+//! tile's odd last row) runs eight such chains side by side, one per
+//! output of a 2×4 block, in eight registers. Blocking changes which
+//! chain the CPU advances next, never the chain itself: each output
+//! still goes through the one lane fold and tail in [`finish_dot`].
+//!
 //! # Safety
 //!
 //! Every function is `#[target_feature(enable = "avx2")]` and thus
@@ -44,8 +52,23 @@ unsafe fn lanes_f64(v: __m256d) -> [f64; 4] {
     out
 }
 
+/// The fixed finish of one dot chain, written once for [`dot`],
+/// [`dot1x4`] and [`dot2x4`]: the eight lanes of `acc` fold as
+/// `((l0+l4) + (l1+l5)) + ((l2+l6) + (l3+l7))`, then the products
+/// `a[i]·b[i]` for `i` in `from..` are summed in order from `0.0` and
+/// added last — exactly [`scalar::dot`]'s combine and tail.
+#[target_feature(enable = "avx2")]
+unsafe fn finish_dot(acc: __m256, a: &[f32], b: &[f32], from: usize) -> f32 {
+    let l = lanes_f32(acc);
+    let mut tail = 0.0f32;
+    for (&x, &y) in a[from..].iter().zip(&b[from..]) {
+        tail += x * y;
+    }
+    ((l[0] + l[4]) + (l[1] + l[5])) + ((l[2] + l[6]) + (l[3] + l[7])) + tail
+}
+
 /// See [`scalar::dot`]: one f32x8 accumulator holds the eight scalar
-/// lanes; mul+add per chunk, fixed combine, sequential tail.
+/// lanes; mul+add per chunk, then [`finish_dot`].
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "dot requires equal lengths");
@@ -57,12 +80,71 @@ pub(crate) unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
         let vb = _mm256_loadu_ps(b.as_ptr().add(c * 8));
         acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
     }
-    let l = lanes_f32(acc);
-    let mut tail = 0.0f32;
-    for i in chunks * 8..n {
-        tail += a[i] * b[i];
+    finish_dot(acc, &a[..n], &b[..n], chunks * 8)
+}
+
+/// Register-blocked dots of one left row against four right rows:
+/// `out[j] = dot(a, b[j])`. Four f32x8 accumulators, one per output,
+/// each running [`dot`]'s own mul+add chain; the chunk of `a` is
+/// loaded once per step and shared by the four chains.
+///
+/// # Safety
+///
+/// AVX2 as for every kernel here, and every row of `b` at least as
+/// long as `a` (the dispatcher asserts equal lengths): the loads read
+/// `a.len() / 8` whole chunks from each row.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn dot1x4(a: &[f32], b: [&[f32]; 4]) -> [f32; 4] {
+    let chunks = a.len() / 8;
+    let mut acc = [_mm256_setzero_ps(); 4];
+    for c in 0..chunks {
+        let va = _mm256_loadu_ps(a.as_ptr().add(c * 8));
+        for (acc, row) in acc.iter_mut().zip(b) {
+            let vb = _mm256_loadu_ps(row.as_ptr().add(c * 8));
+            *acc = _mm256_add_ps(*acc, _mm256_mul_ps(va, vb));
+        }
     }
-    ((l[0] + l[4]) + (l[1] + l[5])) + ((l[2] + l[6]) + (l[3] + l[7])) + tail
+    let mut out = [0.0f32; 4];
+    for (o, (acc, row)) in out.iter_mut().zip(acc.into_iter().zip(b)) {
+        *o = finish_dot(acc, a, row, chunks * 8);
+    }
+    out
+}
+
+/// Register-blocked dots of two left rows against four right rows:
+/// `out[i][j] = dot(a[i], b[j])`. Eight independent f32x8
+/// accumulators (eleven live registers with the two left chunks and
+/// one right chunk), so the eight mul+add chains overlap instead of
+/// waiting on one add's latency, and every chunk loaded feeds two or
+/// four chains. Each chain is still [`dot`]'s exact sequence — mul
+/// then add per chunk, never FMA, then [`finish_dot`] — so each
+/// output is bit-identical to a lone `dot`.
+///
+/// # Safety
+///
+/// AVX2 as for every kernel here, and all six rows at least as long
+/// as `a[0]` (the dispatcher asserts equal lengths): the loads read
+/// `a[0].len() / 8` whole chunks from each row.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn dot2x4(a: [&[f32]; 2], b: [&[f32]; 4]) -> [[f32; 4]; 2] {
+    let chunks = a[0].len() / 8;
+    let mut acc = [[_mm256_setzero_ps(); 4]; 2];
+    for c in 0..chunks {
+        let va0 = _mm256_loadu_ps(a[0].as_ptr().add(c * 8));
+        let va1 = _mm256_loadu_ps(a[1].as_ptr().add(c * 8));
+        for (j, row) in b.iter().enumerate() {
+            let vb = _mm256_loadu_ps(row.as_ptr().add(c * 8));
+            acc[0][j] = _mm256_add_ps(acc[0][j], _mm256_mul_ps(va0, vb));
+            acc[1][j] = _mm256_add_ps(acc[1][j], _mm256_mul_ps(va1, vb));
+        }
+    }
+    let mut out = [[0.0f32; 4]; 2];
+    for (i, row_out) in out.iter_mut().enumerate() {
+        for (j, o) in row_out.iter_mut().enumerate() {
+            *o = finish_dot(acc[i][j], a[i], b[j], chunks * 8);
+        }
+    }
+    out
 }
 
 /// See [`scalar::axpy`].

@@ -211,6 +211,54 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     dispatch!(dot(a, b))
 }
 
+/// Two left rows against four right rows at once:
+/// `out[i][j] = dot(a[i], b[j])`, each element bit-identical to that
+/// lone [`dot`] — the 2×4 micro-kernel behind
+/// [`Tensor::matmul_nt`](crate::Tensor::matmul_nt). The AVX2 backend
+/// keeps the eight chains in registers; the others compute the eight
+/// `dot`s one by one, which is the same result by construction.
+///
+/// # Panics
+///
+/// Panics unless all six rows have the same length.
+pub fn dot2x4(a: [&[f32]; 2], b: [&[f32]; 4]) -> [[f32; 4]; 2] {
+    let k = a[0].len();
+    assert!(
+        a.iter().chain(&b).all(|r| r.len() == k),
+        "dot2x4 requires rows of one length"
+    );
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2 is only constructed after
+        // `is_x86_feature_detected!("avx2")` returned true; the row
+        // lengths were checked above.
+        Backend::Avx2 => unsafe { avx2::dot2x4(a, b) },
+        _ => a.map(|ar| b.map(|br| dot(ar, br))),
+    }
+}
+
+/// One left row against four right rows: `out[j] = dot(a, b[j])`,
+/// each element bit-identical to that lone [`dot`]. The odd-row
+/// companion of [`dot2x4`].
+///
+/// # Panics
+///
+/// Panics unless all five rows have the same length.
+pub fn dot1x4(a: &[f32], b: [&[f32]; 4]) -> [f32; 4] {
+    assert!(
+        b.iter().all(|r| r.len() == a.len()),
+        "dot1x4 requires rows of one length"
+    );
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2 is only constructed after
+        // `is_x86_feature_detected!("avx2")` returned true; the row
+        // lengths were checked above.
+        Backend::Avx2 => unsafe { avx2::dot1x4(a, b) },
+        _ => b.map(|br| dot(a, br)),
+    }
+}
+
 /// In-place AXPY `out[i] += alpha · x[i]`.
 ///
 /// Both slices must have the same length (debug-asserted).

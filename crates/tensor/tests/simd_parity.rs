@@ -70,6 +70,22 @@ proptest! {
     }
 
     #[test]
+    fn blocked_dots_equal_scalar_dot(
+        (k, v) in (0usize..=33).prop_flat_map(|k| {
+            proptest::collection::vec(tricky_f32(), 6 * k + 3).prop_map(move |v| (k, v))
+        }),
+        off in 0usize..4,
+    ) {
+        let rows = six_rows(&v, k, off);
+        let want = dot_bits(&scalar_dots(&rows));
+        for backend in [Backend::Scalar, best()] {
+            let (got2, got1) = simd::with_backend(backend, || blocked_dots(&rows));
+            prop_assert_eq!(dot_bits(&got2), want.clone(), "dot2x4 {:?} k={}", backend, k);
+            prop_assert_eq!(dot_bits(&got1), want.clone(), "dot1x4 {:?} k={}", backend, k);
+        }
+    }
+
+    #[test]
     fn axpy_is_bit_identical((out, x) in lane_pair(), alpha in tricky_f32()) {
         let mut via_scalar = out.clone();
         let mut via_vector = out.clone();
@@ -168,6 +184,77 @@ proptest! {
         let vector = simd::with_backend(best(), || simd::sq_err_sum(sa, sb));
         prop_assert_eq!(scalar.to_bits(), vector.to_bits());
     }
+}
+
+/// Six rows of length `k` cut back to back from `v` starting at
+/// `off`: two left rows, then four right rows. Whenever `off` or `k`
+/// is not a multiple of eight the rows start off the lane grid.
+fn six_rows(v: &[f32], k: usize, off: usize) -> [&[f32]; 6] {
+    std::array::from_fn(|r| &v[off + r * k..off + (r + 1) * k])
+}
+
+/// The 2×4 block and the two 1×4 rows of `rows` through the active
+/// backend's blocked kernels.
+fn blocked_dots(rows: &[&[f32]; 6]) -> ([[f32; 4]; 2], [[f32; 4]; 2]) {
+    let [a0, a1, b0, b1, b2, b3] = *rows;
+    let b = [b0, b1, b2, b3];
+    (
+        simd::dot2x4([a0, a1], b),
+        [simd::dot1x4(a0, b), simd::dot1x4(a1, b)],
+    )
+}
+
+/// What both halves of [`blocked_dots`] must equal: the scalar `dot`
+/// of every left row with every right row.
+fn scalar_dots(rows: &[&[f32]; 6]) -> [[f32; 4]; 2] {
+    simd::with_backend(Backend::Scalar, || {
+        std::array::from_fn(|i| std::array::from_fn(|j| simd::dot(rows[i], rows[2 + j])))
+    })
+}
+
+fn dot_bits(block: &[[f32; 4]; 2]) -> Vec<u32> {
+    bits(block.as_flattened())
+}
+
+#[test]
+fn blocked_dots_match_the_reference_at_every_tail_length() {
+    // Every `k % 8` several times over (k < 8 has no vector chunk at
+    // all), each at four start offsets, against the naive reference
+    // and the scalar `dot`.
+    for k in 0..=40 {
+        for off in 0..4 {
+            let m = matrix(1, 6 * k + 3, 80 + k as u64);
+            let rows = six_rows(m.data(), k, off);
+            let want = scalar_dots(&rows);
+            let naive: [[f32; 4]; 2] = std::array::from_fn(|i| {
+                std::array::from_fn(|j| reference::dot(rows[i], rows[2 + j]))
+            });
+            assert_eq!(dot_bits(&want), dot_bits(&naive), "scalar dot k={k}");
+            for backend in [Backend::Scalar, best()] {
+                let (got2, got1) = simd::with_backend(backend, || blocked_dots(&rows));
+                assert_eq!(
+                    dot_bits(&got2),
+                    dot_bits(&want),
+                    "dot2x4 {backend:?} k={k} off={off}"
+                );
+                assert_eq!(
+                    dot_bits(&got1),
+                    dot_bits(&want),
+                    "dot1x4 {backend:?} k={k} off={off}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn blocked_dots_reject_rows_of_different_lengths() {
+    let (long, short) = ([1.0f32; 9], [1.0f32; 8]);
+    let r =
+        std::panic::catch_unwind(|| simd::dot2x4([&long, &long], [&long, &long, &short, &long]));
+    assert!(r.is_err());
+    let r = std::panic::catch_unwind(|| simd::dot1x4(&short, [&long; 4]));
+    assert!(r.is_err());
 }
 
 #[test]
@@ -322,21 +409,51 @@ fn tiled_dot_products_match_the_reference_at_tile_boundaries() {
     // Left-hand rows are tiled for the long-reduction `matmul_nt`:
     // k ≈ 8192 makes a tile 8 rows (6 once k passes 8192), and
     // `k % 8` ∈ {0, 1, 2, 3} gives the dot's sequential tail work.
-    let n = 9;
+    // Every `n % 4` leaves 0–3 columns outside the 2×4 blocks, and
+    // the row counts are odd and even, so tiles end on a whole row
+    // pair or on a lone `dot1x4` row.
     for (s, r) in (0..4).enumerate() {
         let k = 8192 + r;
         let t = tile_rows(k);
-        let b = matrix(n, k, 50 + s as u64);
-        for m in [t - 1, t, t + 1, 2 * t + 1] {
-            let a = matrix(m, k, 60 + m as u64);
-            let want = bits(&reference::matmul_nt(&a, &b));
-            for_each_backend_and_thread_count(|ctx| {
-                assert_eq!(
-                    bits(a.matmul_nt(&b).unwrap().data()),
-                    want,
-                    "matmul_nt m={m} k={k} {ctx}"
-                );
-            });
+        for n in [8, 9, 10, 11] {
+            let b = matrix(n, k, 50 + (4 * s + n) as u64);
+            for m in [t - 1, t, t + 1, 2 * t, 2 * t + 1] {
+                let a = matrix(m, k, 60 + m as u64);
+                let want = bits(&reference::matmul_nt(&a, &b));
+                for_each_backend_and_thread_count(|ctx| {
+                    assert_eq!(
+                        bits(a.matmul_nt(&b).unwrap().data()),
+                        want,
+                        "matmul_nt m={m} k={k} n={n} {ctx}"
+                    );
+                });
+            }
         }
     }
+}
+
+#[test]
+fn blocked_dot_products_match_the_reference_at_model_shapes() {
+    // The campaign's first layer, a batch of 8–13 rows against a
+    // 64×3072 weight (both row parities, whole 4-blocks of columns),
+    // and the attacks' rtf:512 malicious layer, 32×3072 against
+    // 512×3072.
+    let k = 3 * 32 * 32;
+    let w = matrix(64, k, 90);
+    for m in 8..=13 {
+        let x = matrix(m, k, 91 + m as u64);
+        let want = bits(&reference::matmul_nt(&x, &w));
+        for_each_backend_and_thread_count(|ctx| {
+            assert_eq!(
+                bits(x.matmul_nt(&w).unwrap().data()),
+                want,
+                "campaign m={m} {ctx}"
+            );
+        });
+    }
+    let (x, w) = (matrix(32, k, 92), matrix(512, k, 93));
+    let want = bits(&reference::matmul_nt(&x, &w));
+    for_each_backend_and_thread_count(|ctx| {
+        assert_eq!(bits(x.matmul_nt(&w).unwrap().data()), want, "rtf512 {ctx}");
+    });
 }
