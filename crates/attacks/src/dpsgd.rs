@@ -8,13 +8,13 @@
 //! (`run_attack` with `oasis_fl::DpStage`); this module measures the
 //! utility side by training a classifier under the same mechanism.
 
-use oasis_data::Dataset;
-use oasis_nn::{softmax_cross_entropy, Layer, Linear, Mode, Sequential};
+use oasis_data::{Batch, Dataset};
+use oasis_nn::{train_step, Linear, Sequential};
 use oasis_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::Result;
+use crate::{AttackError, Result};
 
 /// DP-SGD hyperparameters.
 #[derive(Debug, Clone, Copy)]
@@ -43,6 +43,55 @@ impl Default for DpConfig {
     }
 }
 
+/// The per-sample clipped gradient sum of record-level DP-SGD. For
+/// each sample of `batch` it runs one [`train_step`] on the sample's
+/// one-row input, scales the first layer's `(∂W, ∂b)` down to L2 norm
+/// at most `clip_norm` (the norm over both tensors), and adds it to
+/// the running sums. Returns the two sums and the sum of the
+/// per-sample losses; each caller averages and perturbs them itself.
+///
+/// The first layer must be a [`Linear`]. In the attack harness it is
+/// the malicious layer, which dominates the norm and is all the
+/// attacker reads; in the utility baseline it is the whole model.
+///
+/// # Errors
+///
+/// Propagates model execution failures, and a first layer that is not
+/// a `Linear`.
+pub(crate) fn clipped_grad_sum(
+    model: &mut Sequential,
+    batch: &Batch,
+    clip_norm: f32,
+) -> Result<(Tensor, Tensor, f32)> {
+    let lin = first_linear(model)?;
+    let d = lin.grad_weight().dims()[1];
+    let mut sum_gw = Tensor::zeros(lin.grad_weight().dims());
+    let mut sum_gb = Tensor::zeros(lin.grad_bias().dims());
+    let mut loss_sum = 0.0f32;
+    for (image, label) in batch.images.iter().zip(&batch.labels) {
+        let xi = image.to_tensor().reshape(&[1, d])?;
+        loss_sum += train_step(model, &xi, std::slice::from_ref(label))?;
+        let lin = first_linear(model)?;
+        let norm = (lin.grad_weight().norm_sq() + lin.grad_bias().norm_sq()).sqrt();
+        let scale = if norm > clip_norm {
+            clip_norm / norm
+        } else {
+            1.0
+        };
+        sum_gw.axpy(scale, lin.grad_weight())?;
+        sum_gb.axpy(scale, lin.grad_bias())?;
+    }
+    Ok((sum_gw, sum_gb, loss_sum))
+}
+
+/// The model's first layer as a [`Linear`] — the attacked layer whose
+/// gradients the attacks invert.
+pub(crate) fn first_linear(model: &Sequential) -> Result<&Linear> {
+    model
+        .layer_as::<Linear>(0)
+        .ok_or_else(|| AttackError::BadConfig("first layer is not Linear".into()))
+}
+
 /// Trains a linear softmax classifier with DP-SGD and returns the
 /// final test accuracy — one point of the DP utility/privacy
 /// trade-off curve.
@@ -68,31 +117,11 @@ pub fn train_linear_with_dp(
             if b == 0 {
                 continue;
             }
-            // Per-sample clipped gradients.
-            let mut acc: Option<Vec<f32>> = None;
-            for i in 0..b {
-                let xi = batch.images[i].to_tensor().reshape(&[1, d])?;
-                model.zero_grad();
-                let logits = model.forward(&xi, Mode::Train)?;
-                let out = softmax_cross_entropy(&logits, &batch.labels[i..i + 1])?;
-                model.backward_params(&out.grad)?;
-                let g = oasis_nn::flatten_grads(&mut model);
-                let norm = g.iter().map(|v| v * v).sum::<f32>().sqrt();
-                let scale = if norm > config.clip_norm {
-                    config.clip_norm / norm
-                } else {
-                    1.0
-                };
-                match &mut acc {
-                    None => acc = Some(g.iter().map(|v| v * scale).collect()),
-                    Some(a) => {
-                        for (av, gv) in a.iter_mut().zip(&g) {
-                            *av += gv * scale;
-                        }
-                    }
-                }
-            }
-            let mut update = acc.expect("non-empty batch");
+            let (sum_gw, sum_gb, _) = clipped_grad_sum(&mut model, &batch, config.clip_norm)?;
+            // The model is its one `Linear` layer: `(∂W, ∂b)` is the
+            // whole gradient, in `flatten_grads` order.
+            let mut update = sum_gw.into_vec();
+            update.extend_from_slice(sum_gb.data());
             let sigma = config.noise_multiplier * config.clip_norm / b as f32;
             let noise = Tensor::randn_scaled(&[update.len()], 0.0, sigma, &mut rng);
             for ((u, &nz), _) in update.iter_mut().zip(noise.data()).zip(0..) {
@@ -116,6 +145,66 @@ pub fn train_linear_with_dp(
 mod tests {
     use super::*;
     use oasis_data::cifar_like_with;
+
+    /// A two-layer model (first layer `Linear`), a batch of four
+    /// samples, and the model's feature width.
+    fn clip_fixture() -> (Sequential, Batch, usize) {
+        let ds = cifar_like_with(3, 4, 8, 3);
+        let d = ds.feature_dim();
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut model = Sequential::new();
+        model.push(Linear::new(d, 6, &mut rng));
+        model.push(oasis_nn::Relu::new());
+        model.push(Linear::new(6, 3, &mut rng));
+        let batch = ds.sample_batch(4, &mut rng);
+        (model, batch, d)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn clip_above_every_norm_is_the_unclipped_sum() {
+        let (mut model, batch, d) = clip_fixture();
+        let (gw, gb, loss) = clipped_grad_sum(&mut model, &batch, f32::MAX).unwrap();
+        let lin = first_linear(&model).unwrap();
+        let mut want_gw = Tensor::zeros(lin.grad_weight().dims());
+        let mut want_gb = Tensor::zeros(lin.grad_bias().dims());
+        let mut want_loss = 0.0f32;
+        for (image, &label) in batch.images.iter().zip(&batch.labels) {
+            let xi = image.to_tensor().reshape(&[1, d]).unwrap();
+            want_loss += train_step(&mut model, &xi, &[label]).unwrap();
+            let lin = first_linear(&model).unwrap();
+            want_gw.axpy(1.0, lin.grad_weight()).unwrap();
+            want_gb.axpy(1.0, lin.grad_bias()).unwrap();
+        }
+        assert_eq!(bits(&gw), bits(&want_gw));
+        assert_eq!(bits(&gb), bits(&want_gb));
+        assert_eq!(loss.to_bits(), want_loss.to_bits());
+    }
+
+    #[test]
+    fn small_clip_bounds_each_samples_contribution() {
+        let (mut model, batch, _) = clip_fixture();
+        let clip = 1e-3;
+        for (image, &label) in batch.images.iter().zip(&batch.labels) {
+            let one = Batch::new(vec![image.clone()], vec![label]);
+            let mut norm = |c| {
+                let (gw, gb, _) = clipped_grad_sum(&mut model, &one, c).unwrap();
+                (gw.norm_sq() + gb.norm_sq()).sqrt()
+            };
+            assert!(norm(f32::MAX) > clip, "the sample must need clipping");
+            assert!(norm(clip) <= clip * (1.0 + 1e-5));
+        }
+    }
+
+    #[test]
+    fn clip_needs_a_linear_first_layer() {
+        let mut model = Sequential::new();
+        model.push(oasis_nn::Relu::new());
+        assert!(clipped_grad_sum(&mut model, &clip_fixture().1, 1.0).is_err());
+    }
 
     fn split() -> (Dataset, Dataset) {
         let ds = cifar_like_with(3, 24, 8, 2);

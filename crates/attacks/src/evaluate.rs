@@ -6,20 +6,20 @@ use oasis_data::Batch;
 use oasis_fl::DefenseStack;
 use oasis_image::Image;
 use oasis_metrics::{best_psnr_per_original, match_greedy_coarse, ReconstructionMatch, Summary};
-use oasis_nn::{
-    flatten_grads, load_grads, param_count, softmax_cross_entropy, Layer, Linear, Mode, Sequential,
-};
+use oasis_nn::{flatten_grads, load_grads, param_count, train_step, Sequential};
 use oasis_tensor::Tensor;
 use oasis_wire::UpdateCodec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::dpsgd::{clipped_grad_sum, first_linear};
 use crate::{AttackError, Result};
 
 /// An active reconstruction attack by a dishonest server.
 ///
-/// Implementations build the malicious global model (their
-/// [`oasis_fl::ModelTamper`]-style capability) and invert the
+/// Implementations build the malicious global model the server
+/// dispatches in place of the honest one (the threat model's
+/// capability to modify `w` before broadcast) and invert the
 /// gradients the victim uploads.
 pub trait ActiveAttack: Send + Sync {
     /// Display name ("RTF", "CAH", …).
@@ -231,21 +231,17 @@ fn run_attack_inner(
         None => {
             // The exact-gradient path: one full-batch backward pass.
             let client_span = oasis_telemetry::span("attack.client_step");
-            let x = processed.to_matrix();
-            model.zero_grad();
-            let logits = model.forward(&x, Mode::Train)?;
-            let out = softmax_cross_entropy(&logits, &processed.labels)?;
-            model.backward_params(&out.grad)?;
+            let loss = train_step(&mut model, &processed.to_matrix(), &processed.labels)?;
             let mut update = flatten_grads(&mut model);
             defense.perturb_update(&mut update, processed.len(), &mut rng);
             let received = transmit(update)?;
             load_grads(&mut model, &received)?;
-            let lin = malicious_layer(&model)?;
+            let lin = first_linear(&model)?;
             drop(client_span);
             let recon_span = oasis_telemetry::span("attack.reconstruct");
             let recons = attack.reconstruct(lin.grad_weight(), lin.grad_bias(), geometry);
             drop(recon_span);
-            (recons, out.loss)
+            (recons, loss)
         }
         Some(clip_norm) => {
             // The per-sample path (record-level DP-SGD): per-sample
@@ -256,36 +252,14 @@ fn run_attack_inner(
             let b = processed.len();
             let d = geometry.0 * geometry.1 * geometry.2;
             let n = attack.attacked_neurons();
-            let mut sum_gw = Tensor::zeros(&[n, d]);
-            let mut sum_gb = Tensor::zeros(&[n]);
-            let mut total_loss = 0.0f32;
-            for i in 0..b {
-                let xi = processed.images[i].to_tensor().reshape(&[1, d])?;
-                model.zero_grad();
-                let logits = model.forward(&xi, Mode::Train)?;
-                let out = softmax_cross_entropy(&logits, &processed.labels[i..i + 1])?;
-                model.backward_params(&out.grad)?;
-                total_loss += out.loss;
-                let lin = malicious_layer(&model)?;
-                // Clip the whole per-sample gradient (all layers would
-                // be clipped in real DP-SGD; the malicious layer
-                // dominates the norm here and is all the attacker
-                // reads).
-                let norm = (lin.grad_weight().norm_sq() + lin.grad_bias().norm_sq()).sqrt();
-                let scale = if norm > clip_norm {
-                    clip_norm / norm
-                } else {
-                    1.0
-                };
-                sum_gw.axpy(scale, lin.grad_weight())?;
-                sum_gb.axpy(scale, lin.grad_bias())?;
-            }
+            let (mut sum_gw, mut sum_gb, total_loss) =
+                clipped_grad_sum(&mut model, &processed, clip_norm)?;
             let inv_b = 1.0 / b as f32;
             sum_gw.scale_in_place(inv_b);
             sum_gb.scale_in_place(inv_b);
             // Only the (perturbed) malicious-layer update is uploaded;
             // that is what crosses the wire.
-            let mut update = sum_gw.data().to_vec();
+            let mut update = sum_gw.into_vec();
             update.extend_from_slice(sum_gb.data());
             defense.perturb_update(&mut update, b, &mut rng);
             let received = transmit(update)?;
@@ -300,13 +274,6 @@ fn run_attack_inner(
     };
 
     Ok(score(recons, batch, &processed, loss, wire))
-}
-
-/// The attacked first layer the adversary reads gradients from.
-fn malicious_layer(model: &Sequential) -> Result<&Linear> {
-    model
-        .layer_as::<Linear>(0)
-        .ok_or_else(|| AttackError::BadConfig("malicious layer missing".into()))
 }
 
 fn score(

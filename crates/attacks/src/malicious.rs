@@ -55,7 +55,7 @@ pub fn attacked_model(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oasis_nn::{softmax_cross_entropy, Layer, Mode};
+    use oasis_nn::train_step;
 
     #[test]
     fn model_has_three_layers() {
@@ -91,10 +91,7 @@ mod tests {
         let b = Tensor::zeros(&[6]);
         let mut model = attacked_model(w, b, 3, 2).unwrap();
         let x = Tensor::rand_uniform(&[1, 4], 0.1, 1.0, &mut rng);
-        model.zero_grad();
-        let logits = model.forward(&x, Mode::Train).unwrap();
-        let out = softmax_cross_entropy(&logits, &[1]).unwrap();
-        model.backward(&out.grad).unwrap();
+        train_step(&mut model, &x, &[1]).unwrap();
         let lin = model.layer_as::<Linear>(0).unwrap();
         let gb = lin.grad_bias().data();
         for &g in gb {

@@ -170,7 +170,7 @@ mod tests {
     use super::*;
     use oasis_data::cifar_like_with;
     use oasis_metrics::match_greedy;
-    use oasis_nn::{softmax_cross_entropy, Layer, Linear, Mode};
+    use oasis_nn::{train_step, Linear};
 
     fn structured_images(count: usize, side: usize, seed: u64) -> Vec<Image> {
         let ds = cifar_like_with(count, 1, side, seed);
@@ -217,10 +217,7 @@ mod tests {
         for (i, img) in batch.iter().enumerate() {
             x.row_mut(i).unwrap().copy_from_slice(img.data());
         }
-        model.zero_grad();
-        let logits = model.forward(&x, Mode::Train).unwrap();
-        let out = softmax_cross_entropy(&logits, &[0, 1, 2, 3, 4, 5]).unwrap();
-        model.backward(&out.grad).unwrap();
+        train_step(&mut model, &x, &[0, 1, 2, 3, 4, 5]).unwrap();
 
         let lin = model.layer_as::<Linear>(0).unwrap();
         let recons = attack.reconstruct(lin.grad_weight(), lin.grad_bias(), geometry);

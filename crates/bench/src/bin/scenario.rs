@@ -64,8 +64,8 @@ FLAGS (comma-separated lists sweep the grid):
                         --population (client count), --seed, --scale
                         and --eval-every; any other experiment flag
                         is an error (the spec sets nets and attacks)
-    --eval-every N      campaign adversary probe period (0 = never)
-                                                          [default: 5]
+    --eval-every N      campaign adversary probe period (0 = never);
+                        an error without --campaign       [default: 5]
     --no-save           print reports without writing out/*.json
     --trace PATH        enable telemetry: write a schema-v1 JSONL span
                         trace to PATH and print a self-time summary
@@ -476,6 +476,8 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
     }
     if args.campaign.is_some() {
         check_campaign_flags(&args, &given)?;
+    } else if let Some(flag) = given.iter().find(|f| CAMPAIGN_ONLY_FLAGS.contains(f)) {
+        return Err(format!("{flag} is only read by --campaign; remove it"));
     }
     Ok(args)
 }
@@ -494,6 +496,9 @@ const SWEEP_ONLY_FLAGS: [&str; 9] = [
     "--sampling",
     "--leak-db",
 ];
+
+/// Flags only a `--campaign` run reads; the trial sweep rejects them.
+const CAMPAIGN_ONLY_FLAGS: [&str; 1] = ["--eval-every"];
 
 /// Rejects what `--campaign` mode would otherwise silently ignore: a
 /// sweep-only flag, or a second value for a flag it reads once.
@@ -649,6 +654,25 @@ mod tests {
             }
             // The same flag is fine in sweep mode.
             args(&format!("{flag} {value}"));
+        }
+    }
+
+    #[test]
+    fn sweep_mode_rejects_campaign_only_flags() {
+        for (flag, value) in [("--eval-every", "2")] {
+            for raw in [
+                [flag, value, "--attack", "rtf:8"],
+                ["--attack", "rtf:8", flag, value],
+            ] {
+                let raw: Vec<String> = raw.map(String::from).to_vec();
+                let err = match parse_args(&raw) {
+                    Ok(_) => panic!("{raw:?} should not parse"),
+                    Err(e) => e,
+                };
+                assert!(err.contains(flag), "{raw:?}: {err}");
+            }
+            // The same flag is fine in campaign mode.
+            args(&format!("--campaign campaign:3 {flag} {value}"));
         }
     }
 

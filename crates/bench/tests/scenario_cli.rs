@@ -1,6 +1,7 @@
 //! The `scenario` binary's `--campaign` mode end to end: `--codec`
 //! reaches the wire, and every flag the mode does not read exits 1
-//! with a message naming it.
+//! with a message naming it — as does the campaign-only
+//! `--eval-every` in sweep mode.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -75,5 +76,25 @@ fn campaign_rejects_each_flag_it_does_not_read() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sweep_rejects_the_campaign_only_probe_period() {
+    let dir = out_dir("sweep_eval_every");
+    let out = scenario(
+        &[
+            "--attack",
+            "rtf:8",
+            "--eval-every",
+            "2",
+            "--quick",
+            "--no-save",
+        ],
+        &dir,
+    );
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--eval-every"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }

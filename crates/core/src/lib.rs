@@ -51,7 +51,7 @@ pub use analysis::{activation_set_analysis, layer_from_parts, ActivationAnalysis
 pub use config::OasisConfig;
 pub use defense::Oasis;
 pub use detect::{audit_first_layer, LayerAudit};
-pub use pipeline::{defended_client, stacked_client, undefended_client};
+pub use pipeline::{defended_client, undefended_client};
 
 /// Commonly used items for downstream code.
 pub mod prelude {

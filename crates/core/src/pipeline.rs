@@ -24,12 +24,6 @@ pub fn defended_client(id: usize, data: Dataset, config: OasisConfig) -> FlClien
     FlClient::new(id, data, Arc::new(DefenseStack::of(Oasis::new(config))))
 }
 
-/// An FL client running an arbitrary [`DefenseStack`] — e.g. OASIS
-/// stacked with a DP-SGD update stage.
-pub fn stacked_client(id: usize, data: Dataset, stack: DefenseStack) -> FlClient {
-    FlClient::new(id, data, Arc::new(stack))
-}
-
 /// An undefended FL client (the paper's "Without OASIS" baseline).
 pub fn undefended_client(id: usize, data: Dataset) -> FlClient {
     FlClient::new(id, data, Arc::new(DefenseStack::identity()))

@@ -162,21 +162,6 @@ impl Dataset {
             .map(|chunk| Batch::from_items(chunk.to_vec()))
             .collect()
     }
-
-    /// A new dataset with at most `per_class` samples of each class.
-    pub fn take_per_class(&self, per_class: usize) -> Dataset {
-        let mut counts = vec![0usize; self.num_classes];
-        let items: Vec<LabeledImage> = self
-            .items
-            .iter()
-            .filter(|it| {
-                counts[it.label] += 1;
-                counts[it.label] <= per_class
-            })
-            .cloned()
-            .collect();
-        Dataset::new(self.name.clone(), self.num_classes, items)
-    }
 }
 
 #[cfg(test)]
@@ -236,13 +221,6 @@ mod tests {
         let ds = tiny_dataset(2, 5);
         let total: usize = ds.batches(3).map(|b| b.len()).sum();
         assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn take_per_class_limits() {
-        let ds = tiny_dataset(3, 5);
-        let small = ds.take_per_class(2);
-        assert_eq!(small.len(), 6);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use oasis_data::Dataset;
-use oasis_nn::{flatten_grads, load_params, softmax_cross_entropy, Layer, Mode, Sequential};
+use oasis_nn::{flatten_grads, load_params, train_step, Sequential};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -104,11 +104,14 @@ impl FlClient {
         self.compute_update_in(&mut factory(), global_params, batch_size, round_seed)
     }
 
-    /// Executes one round of local computation on `model`: loads the
-    /// broadcast weights into it, runs the defense stack's batch
-    /// stages on a sampled batch, computes the full-batch gradient,
-    /// and runs the stack's update stages on it — the result is
-    /// precisely what a dishonest server gets to inspect.
+    /// Executes one round of local computation on `model`: runs the
+    /// defense stack's batch stages on a sampled batch, loads the
+    /// broadcast weights, computes the full-batch gradient with one
+    /// [`oasis_nn::train_step`], flattens it, and runs the stack's
+    /// update stages on it — the result is precisely what a dishonest
+    /// server gets to inspect. Traced as `fl.client.defense`, the
+    /// step's `nn.train_step`, `fl.client.flatten`, then
+    /// `fl.client.defense` again for the update stages.
     ///
     /// `model` may be a resident slot that already ran other clients:
     /// every parameter is overwritten and every gradient zeroed, and
@@ -142,19 +145,10 @@ impl FlClient {
             .data
             .sample_batch(batch_size.min(self.data.len()), &mut rng);
         let processed = self.defense.process_batch(&batch, &mut rng);
+        let x = processed.to_matrix();
         drop(defense_span);
         load_params(model, global_params)?;
-        model.zero_grad();
-        let forward_span = oasis_telemetry::span("fl.client.forward");
-        let x = processed.to_matrix();
-        let logits = model.forward(&x, Mode::Train)?;
-        let loss = softmax_cross_entropy(&logits, &processed.labels)?;
-        drop(forward_span);
-        // The client uploads parameter gradients only: ∂L/∂x of the
-        // first layer is never formed.
-        let backward_span = oasis_telemetry::span("fl.client.backward");
-        model.backward_params(&loss.grad)?;
-        drop(backward_span);
+        let loss = train_step(model, &x, &processed.labels)?;
         let flatten_span = oasis_telemetry::span("fl.client.flatten");
         let mut grads = flatten_grads(model);
         drop(flatten_span);
@@ -167,7 +161,7 @@ impl FlClient {
         Ok(ClientUpdate {
             client_id: self.id,
             grads,
-            loss: loss.loss,
+            loss,
             samples: processed.len(),
         })
     }

@@ -10,16 +10,14 @@
 //! data, and the server averages the updates and steps
 //! `w_{t+1} = w_t − η·Ḡ`.
 //!
-//! Two hooks make this crate the substrate for the OASIS evaluation:
-//!
-//! * [`ModelTamper`] — the dishonest server's ability to modify the
-//!   global model *before* dispatching it (how the RTF and CAH
-//!   attacks insert their malicious layers), and
-//! * [`DefenseStack`] — the client's composable defense pipeline:
-//!   [`BatchStage`]s preprocess the training batch *before* gradients
-//!   are computed (how the OASIS defense augments `D` into `D′`) and
-//!   [`UpdateStage`]s perturb the flattened update *before* it is
-//!   uploaded (how DP-SGD clips and noises).
+//! The client's hook is its [`DefenseStack`], a composable defense
+//! pipeline: [`BatchStage`]s preprocess the training batch *before*
+//! gradients are computed (how the OASIS defense augments `D` into
+//! `D′`) and [`UpdateStage`]s perturb the flattened update *before* it
+//! is uploaded (how DP-SGD clips and noises). The dishonest server's
+//! side — dispatching a malicious model and inverting the update —
+//! lives in `oasis-attacks`, whose attacks build the malicious model
+//! themselves.
 //!
 //! Updates travel over a real wire: each client's update is encoded
 //! with the server's [`WireConfig`] codec (`oasis_wire`), a
@@ -73,7 +71,6 @@ mod error;
 mod round;
 mod scheduler;
 mod server;
-mod tamper;
 mod timings;
 mod training;
 
@@ -87,7 +84,6 @@ pub use error::FlError;
 pub use round::{ClientSource, CohortReport};
 pub use scheduler::CohortScheduler;
 pub use server::{FlServer, RoundReport, WireConfig};
-pub use tamper::{HonestServer, ModelTamper};
 pub use timings::RoundTimings;
 pub use training::{
     evaluate_accuracy, partition_dirichlet, partition_iid, train_centralized, TrainReport,

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use oasis_data::Dataset;
-use oasis_nn::{softmax_cross_entropy, Layer, Mode, Optimizer, Sequential};
+use oasis_nn::{train_step, Layer, Mode, Optimizer, Sequential};
 use oasis_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -169,13 +169,9 @@ pub fn train_centralized(
         let mut losses = Vec::new();
         for batch in train.shuffled_batches(batch_size, &mut rng) {
             let processed = preprocessor.process(&batch, &mut rng);
-            let x = processed.to_matrix();
-            model.zero_grad();
-            let logits = model.forward(&x, Mode::Train)?;
-            let out = softmax_cross_entropy(&logits, &processed.labels)?;
-            model.backward_params(&out.grad)?;
+            let loss = train_step(model, &processed.to_matrix(), &processed.labels)?;
             optimizer.step(model);
-            losses.push(out.loss);
+            losses.push(loss);
         }
         epoch_losses.push(losses.iter().sum::<f32>() / losses.len().max(1) as f32);
     }

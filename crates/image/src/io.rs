@@ -10,25 +10,6 @@ use std::path::Path;
 
 use crate::{Image, ImageError, Result};
 
-/// Writes a 3-channel image as binary PPM (P6) or a 1-channel image as
-/// binary PGM (P5). Values are clamped to `[0, 1]` and quantized to 8
-/// bits.
-///
-/// # Errors
-///
-/// Returns an error for unsupported channel counts or IO failures.
-pub fn write_auto(path: impl AsRef<Path>, img: &Image) -> Result<()> {
-    match img.channels() {
-        1 => write_pgm(path, img),
-        3 => write_ppm(path, img),
-        c => Err(ImageError::ChannelMismatch {
-            op: "write_auto",
-            expected: 3,
-            actual: c,
-        }),
-    }
-}
-
 /// Writes a 3-channel image as binary PPM (P6).
 ///
 /// # Errors

@@ -58,7 +58,7 @@ pub use layer::{
     param_count_ref, Layer, Mode,
 };
 pub use linear::Linear;
-pub use loss::{mse_loss, softmax, softmax_cross_entropy, LossOutput};
+pub use loss::{mse_loss, softmax, softmax_cross_entropy, train_step, LossOutput};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use pool::{AvgPoolAll, MaxPool2};
 pub use relu::Relu;

@@ -2,7 +2,7 @@
 
 use oasis_tensor::Tensor;
 
-use crate::{NnError, Result};
+use crate::{Layer, Mode, NnError, Result, Sequential};
 
 /// A loss value together with the gradient of the loss with respect to
 /// the network output — the starting point for backpropagation.
@@ -89,6 +89,36 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> Result<LossOu
         loss: (loss / batch as f64) as f32,
         grad,
     })
+}
+
+/// One training step of `model` on the batch `(x, labels)`: zero the
+/// gradients, run the forward pass in [`Mode::Train`], take the
+/// softmax cross-entropy, and backpropagate it into the parameter
+/// gradients with [`Layer::backward_params`]. Returns the mean loss.
+///
+/// This is the victim step `G_j = ∇L(D_j, w_t)` of paper Eq. 1 that
+/// every client update, attacked trial and centralized training step
+/// runs; afterwards the model's gradients hold exactly this batch's
+/// `G_j`. Traced as `nn.train_step` with children `nn.forward`,
+/// `nn.loss` and `nn.backward`.
+///
+/// # Errors
+///
+/// Propagates forward, loss and backward failures (shape mismatch,
+/// bad labels).
+pub fn train_step(model: &mut Sequential, x: &Tensor, labels: &[usize]) -> Result<f32> {
+    let _span = oasis_telemetry::span("nn.train_step");
+    model.zero_grad();
+    let forward_span = oasis_telemetry::span("nn.forward");
+    let logits = model.forward(x, Mode::Train)?;
+    drop(forward_span);
+    let loss_span = oasis_telemetry::span("nn.loss");
+    let out = softmax_cross_entropy(&logits, labels)?;
+    drop(loss_span);
+    // The input gradient of the first layer is never read.
+    let _backward_span = oasis_telemetry::span("nn.backward");
+    model.backward_params(&out.grad)?;
+    Ok(out.loss)
 }
 
 /// Mean-squared-error loss with mean reduction.

@@ -195,7 +195,7 @@ pub fn resnet_lite(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{flatten_grads, softmax_cross_entropy};
+    use crate::{flatten_grads, train_step};
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
@@ -241,9 +241,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut net = resnet_lite((3, 8, 8), 4, 5, &mut rng);
         let x = Tensor::randn(&[4, 3 * 64], &mut rng);
-        let logits = net.forward(&x, Mode::Train).unwrap();
-        let out = softmax_cross_entropy(&logits, &[0, 1, 2, 3]).unwrap();
-        net.backward(&out.grad).unwrap();
+        train_step(&mut net, &x, &[0, 1, 2, 3]).unwrap();
         let grads = flatten_grads(&mut net);
         let nonzero = grads.iter().filter(|&&g| g != 0.0).count();
         assert!(
@@ -270,13 +268,10 @@ mod tests {
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..30 {
-            net.zero_grad();
-            let logits = net.forward(&x, Mode::Train).unwrap();
-            let out = softmax_cross_entropy(&logits, &labels).unwrap();
-            net.backward(&out.grad).unwrap();
+            let loss = train_step(&mut net, &x, &labels).unwrap();
             crate::Optimizer::step(&mut opt, &mut net);
-            first.get_or_insert(out.loss);
-            last = out.loss;
+            first.get_or_insert(loss);
+            last = loss;
         }
         assert!(
             last < first.unwrap(),

@@ -51,13 +51,6 @@ impl Sequential {
     pub fn layer_as<T: 'static>(&self, i: usize) -> Option<&T> {
         self.layers.get(i).and_then(|b| b.as_any().downcast_ref())
     }
-
-    /// Mutably downcast layer `i` to a concrete type.
-    pub fn layer_as_mut<T: 'static>(&mut self, i: usize) -> Option<&mut T> {
-        self.layers
-            .get_mut(i)
-            .and_then(|b| b.as_any_mut().downcast_mut())
-    }
 }
 
 impl Layer for Sequential {
@@ -167,10 +160,9 @@ mod tests {
     #[test]
     fn downcast_reaches_concrete_layer() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut m = mlp(&mut rng);
+        let m = mlp(&mut rng);
         assert!(m.layer_as::<Linear>(0).is_some());
         assert!(m.layer_as::<Relu>(0).is_none());
-        assert!(m.layer_as_mut::<Linear>(2).is_some());
         assert!(m.layer_as::<Linear>(9).is_none());
     }
 

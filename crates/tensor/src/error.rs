@@ -30,13 +30,6 @@ pub enum TensorError {
         /// Actual rank.
         actual: usize,
     },
-    /// An axis index was out of range for the tensor's rank.
-    AxisOutOfRange {
-        /// The offending axis.
-        axis: usize,
-        /// The tensor's rank.
-        rank: usize,
-    },
     /// An element index was out of range.
     IndexOutOfRange {
         /// The offending flat or per-axis index.
@@ -66,9 +59,6 @@ impl fmt::Display for TensorError {
                 actual,
             } => {
                 write!(f, "{op} requires rank {expected}, got rank {actual}")
-            }
-            TensorError::AxisOutOfRange { axis, rank } => {
-                write!(f, "axis {axis} out of range for rank {rank}")
             }
             TensorError::IndexOutOfRange { index, bound } => {
                 write!(f, "index {index} out of range (bound {bound})")
@@ -101,7 +91,6 @@ mod tests {
                 expected: 2,
                 actual: 1,
             },
-            TensorError::AxisOutOfRange { axis: 5, rank: 2 },
             TensorError::IndexOutOfRange { index: 9, bound: 4 },
             TensorError::EmptyTensor,
         ];

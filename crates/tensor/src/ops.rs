@@ -68,15 +68,6 @@ impl Tensor {
         self.zip_map(other, |a, b| a * b)
     }
 
-    /// Elementwise division.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn div(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip_map(other, |a, b| a / b)
-    }
-
     /// In-place `self += other`.
     ///
     /// # Errors
@@ -248,13 +239,12 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_mul_div_elementwise() {
+    fn add_sub_mul_elementwise() {
         let a = t(&[1.0, 2.0, 4.0]);
         let b = t(&[2.0, 2.0, 2.0]);
         assert_eq!(a.add(&b).unwrap().data(), &[3.0, 4.0, 6.0]);
         assert_eq!(a.sub(&b).unwrap().data(), &[-1.0, 0.0, 2.0]);
         assert_eq!(a.mul(&b).unwrap().data(), &[2.0, 4.0, 8.0]);
-        assert_eq!(a.div(&b).unwrap().data(), &[0.5, 1.0, 2.0]);
     }
 
     #[test]

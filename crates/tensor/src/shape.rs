@@ -40,21 +40,6 @@ impl Shape {
         &self.dims
     }
 
-    /// Length of axis `axis`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::AxisOutOfRange`] if `axis >= rank`.
-    pub fn dim(&self, axis: usize) -> Result<usize, TensorError> {
-        self.dims
-            .get(axis)
-            .copied()
-            .ok_or(TensorError::AxisOutOfRange {
-                axis,
-                rank: self.rank(),
-            })
-    }
-
     /// Total number of elements (product of dims; 1 for a scalar shape).
     pub fn numel(&self) -> usize {
         self.dims.iter().product()
